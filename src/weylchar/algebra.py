@@ -72,6 +72,8 @@ class Algebra:
     gram_root and gram_weight hold the invariant form on root-basis and
     weight-basis rows respectively; gram_weight_scaled is gram_weight times
     gram_scale with integer entries, for hot integer-only inner products.
+    gram_adjugate and gram_det are the adjugate and determinant of
+    gram_weight_scaled, so that its inverse is gram_adjugate / gram_det.
     """
 
     family: str
@@ -86,6 +88,8 @@ class Algebra:
     gram_weight: tuple             # Fraction entries
     gram_weight_scaled: tuple      # integer entries
     gram_scale: int
+    gram_adjugate: tuple           # integer entries
+    gram_det: int
 
     @property
     def name(self):
@@ -239,6 +243,11 @@ def build_algebra(family, rank):
     gram_weight_scaled = tuple(
         tuple(int(x * scale) for x in row) for row in gram_weight
     )
+    gram_det = linalg.det_int(gram_weight_scaled)
+    gram_adjugate = tuple(
+        tuple(int(x * gram_det) for x in row)
+        for row in linalg.inverse_frac(gram_weight_scaled)
+    )
 
     pos = _positive_root_coords(cartan)
     # the sum of all positive roots must equal twice the Weyl vector
@@ -263,6 +272,8 @@ def build_algebra(family, rank):
         gram_weight=gram_weight,
         gram_weight_scaled=gram_weight_scaled,
         gram_scale=scale,
+        gram_adjugate=gram_adjugate,
+        gram_det=gram_det,
     )
 
 
@@ -395,11 +406,14 @@ def orbit(a, v):
     return tuple(WeightVec.weight(t) for t in sorted(seen))
 
 
-def dominant_reduce(a, v):
-    """The unique dominant weight in the Weyl orbit of v, in weight basis."""
-    m = list(weight_coords(a, v))
-    r = a.rank
-    cartan = a.cartan
+def _dominant_coords(cartan, m):
+    """Dominant representative of the orbit of the weight-basis row m.
+
+    Reflects in the first simple root with a negative coordinate until none
+    is left.  Works on plain tuples so hot loops allocate no WeightVec.
+    """
+    m = list(m)
+    r = len(m)
     while True:
         for i in range(r):
             if m[i] < 0:
@@ -409,7 +423,12 @@ def dominant_reduce(a, v):
                     m[k] -= ci * row[k]
                 break
         else:
-            return WeightVec.weight(tuple(m))
+            return tuple(m)
+
+
+def dominant_reduce(a, v):
+    """The unique dominant weight in the Weyl orbit of v, in weight basis."""
+    return WeightVec.weight(_dominant_coords(a.cartan, weight_coords(a, v)))
 
 
 def pair_with_root(a, m, n):

@@ -123,10 +123,8 @@ def _cmd_tensor(args):
     a = parse_algebra(args.algebra)
     lm = _parse_weight(a, args.left, what="--left")
     rm = _parse_weight(a, args.right, what="--right")
-    if args.method == "gamma":
-        # touch the disk cache so repeated invocations amortize
-        _get_table(a, args)
-    dec = tensor_decompose(a, lm, rm, method=args.method)
+    table = _get_table(a, args) if args.method == "gamma" else None
+    dec = tensor_decompose(a, lm, rm, method=args.method, table=table)
     dims = {
         w: weyl_dimension(a, WeightVec.weight(w)) for w, _ in dec.summands
     }

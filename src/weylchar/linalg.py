@@ -78,16 +78,3 @@ def inverse_frac(m):
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return tuple(tuple(row) for row in inv)
 
-
-def inverse_unimodular(m):
-    """Inverse of an integer matrix with determinant +-1, as integers."""
-    inv = inverse_frac(m)
-    out = []
-    for row in inv:
-        ints = []
-        for x in row:
-            if x.denominator != 1:
-                raise IntegrityError("matrix inverse is not integral")
-            ints.append(x.numerator)
-        out.append(tuple(ints))
-    return tuple(out)

@@ -31,6 +31,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import linalg
 from .algebra import (
@@ -121,17 +122,36 @@ def _candidate_profiles(a, cands):
     return vrows, grows
 
 
-def _entry_from_rows(selector, rows):
+def _entry_from_rows(a, selector, rows, grows):
+    """Table entry of the map M with the given rows; grows are the rows of M S.
+
+    Precondition: M satisfies the quadratic conditions M S M^T = S for the
+    scaled Gram matrix S = a.gram_weight_scaled.  build_table's search and
+    load_table's revalidation both establish them before calling here.  Then
+    M^-1 = S M^T S^-1 = (adj(S) (M S))^T / det(S), which costs one integer
+    matrix product and an exact division per entry.
+    """
     m = tuple(rows)
     det = linalg.det_int(m)
     if det not in (1, -1):
         raise IntegrityError(
             f"entry {selector} does not define an orthogonal map (det {det})"
         )
+    # row j of M^-1 is adj(S) times column j of M S, over det(S); adj(S) is
+    # symmetric, so its rows serve as its columns
+    inverse = []
+    for col in zip(*grows):
+        row = []
+        for adj_row in a.gram_adjugate:
+            q, rem = divmod(sum(map(mul, adj_row, col)), a.gram_det)
+            if rem:
+                raise IntegrityError(f"entry {selector} has no integral inverse")
+            row.append(q)
+        inverse.append(tuple(row))
     return TableEntry(
         selector=selector,
         signature=det,
-        monomial_map=linalg.inverse_unimodular(m),
+        monomial_map=tuple(inverse),
     )
 
 
@@ -175,7 +195,8 @@ def build_table(a):
         if level == r:
             selector = tuple(choice[i] + 1 for i in range(r))
             rows = [vrows[i][choice[i]] for i in range(r)]
-            entries.append(_entry_from_rows(selector, rows))
+            images = [grows[i][choice[i]] for i in range(r)]
+            entries.append(_entry_from_rows(a, selector, rows, images))
             return
         slot = slots_sorted[level]
         rest = slots_sorted[level + 1 :]
@@ -468,8 +489,8 @@ def load_table(path):
             raise TableCacheError(f"table cache {path}: entries not in canonical order")
         prev = selector
         rows = [vrows[i][selector[i] - 1] for i in range(a.rank)]
-        for i in range(a.rank):
-            gv = grows[i][selector[i] - 1]
+        images = [grows[i][selector[i] - 1] for i in range(a.rank)]
+        for i, gv in enumerate(images):
             for j in range(i, a.rank):
                 got = sum(p * q for p, q in zip(gv, rows[j]))
                 if got != a.gram_weight_scaled[i][j]:
@@ -478,7 +499,7 @@ def load_table(path):
                         f"quadratic condition at slots ({i + 1}, {j + 1})"
                     )
         try:
-            entry = _entry_from_rows(selector, rows)
+            entry = _entry_from_rows(a, selector, rows, images)
         except IntegrityError as exc:
             raise TableCacheError(f"table cache {path}: {exc}") from exc
         if entry.signature != signature:

@@ -15,6 +15,7 @@ means an upstream bug and raises IntegrityError rather than being patched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import linalg
 from .algebra import Algebra, WeightVec, _require_dominant_integral
@@ -48,12 +49,13 @@ def _root_key(a, e):
     return (sum(n), n)
 
 
-def tensor_decompose(a, left, right, method="gamma"):
+def tensor_decompose(a, left, right, method="gamma", table=None):
     """Decompose the tensor product of two irreducible modules.
 
     left and right are highest weights (WeightVec or coordinate rows).
     Summands come out in peel order: descending graded-lex on root-basis
-    coordinates, a linear extension of dominance.
+    coordinates, a linear extension of dominance.  table, when given, is
+    passed on to every character computation.
     """
     if not isinstance(left, WeightVec):
         left = WeightVec.weight(tuple(left))
@@ -62,7 +64,11 @@ def tensor_decompose(a, left, right, method="gamma"):
     lm = _require_dominant_integral(a, left, what="left highest weight")
     rm = _require_dominant_integral(a, right, what="right highest weight")
 
-    product = character(a, lm, method).poly * character(a, rm, method).poly
+    @cache  # left, right and the peeled tops may coincide
+    def char(m):
+        return character(a, m, method, table=table).poly
+
+    product = char(lm) * char(rm)
     remainder = dict(product.terms)
     summands = []
     while remainder:
@@ -79,7 +85,7 @@ def tensor_decompose(a, left, right, method="gamma"):
                 "coefficients must stay positive"
             )
         summands.append((top, mult))
-        for e, c in character(a, top, method).poly.terms.items():
+        for e, c in char(top).terms.items():
             s = remainder.get(e, 0) - mult * c
             if s > 0:
                 remainder[e] = s

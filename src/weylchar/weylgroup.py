@@ -22,6 +22,7 @@ from . import linalg
 from .algebra import (
     Algebra,
     WeightVec,
+    _dominant_coords,
     _require_dominant_integral,
     bilinear,
     orbit,
@@ -190,19 +191,6 @@ def freudenthal_multiplicities(a, weight):
     r = a.rank
     cartan = a.cartan
 
-    def reduce(v):
-        v = list(v)
-        while True:
-            for i in range(r):
-                if v[i] < 0:
-                    ci = v[i]
-                    row = cartan[i]
-                    for k in range(r):
-                        v[k] -= ci * row[k]
-                    break
-            else:
-                return tuple(v)
-
     dominant = {}
     for mu, depth in _dominant_weights_below(a, m):
         if not any(depth):
@@ -213,7 +201,7 @@ def freudenthal_multiplicities(a, weight):
             k = 1
             while True:
                 nu = tuple(mu[j] + k * nw[j] for j in range(r))
-                mult = dominant.get(reduce(nu))
+                mult = dominant.get(_dominant_coords(cartan, nu))
                 if mult is None:
                     break  # weights along a root string are contiguous
                 acc += mult * pair_with_root(a, nu, n)

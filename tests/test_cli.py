@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import golden_g2
-from weylchar import tables
+from weylchar import characters, tables
 from weylchar.cli import main
 
 
@@ -101,6 +101,30 @@ def test_tensor_json(capsys, cache):
     got = {tuple(s["weight"]): s["multiplicity"] for s in data["summands"]}
     assert got == golden_g2.TENSOR_L1_BY_L1L2
     assert data["dimension_check"]["product"] == data["dimension_check"]["sum"]
+
+
+def test_tensor_builds_or_loads_one_table(capsys, cache, monkeypatch):
+    builds = []
+    real_build = tables.build_table
+
+    def counting_build(a):
+        builds.append(a.name)
+        return real_build(a)
+
+    monkeypatch.setattr(tables, "build_table", counting_build)
+
+    def fresh_process_request():
+        tables.shared_table.cache_clear()
+        characters._character_cached.cache_clear()
+        return run(
+            capsys, "tensor", "--algebra", "G2", "--left", "1,0",
+            "--right", "1,1", "--cache-dir", cache,
+        )[0]
+
+    assert fresh_process_request() == 0
+    assert builds == ["G2"]  # empty cache: one build, saved
+    assert fresh_process_request() == 0
+    assert builds == ["G2"]  # filled cache: loaded, no build
 
 
 def test_dimension(capsys, cache):

@@ -18,7 +18,7 @@ from weylchar.algebra import (
     weyl_order,
 )
 from weylchar.errors import EnvelopeError, InputError, TableCacheError
-from weylchar.linalg import vec_mat
+from weylchar.linalg import identity, inverse_frac, mat_mul, vec_mat
 from weylchar.tables import (
     alternant,
     build_table,
@@ -122,6 +122,30 @@ def test_a2_table_matches_group_enumeration(a2, a2_table):
         expected[tuple(selector)] = sign
     got = {e.selector: e.signature for e in a2_table.entries}
     assert got == expected
+
+
+def test_monomial_map_inverts_the_entry_map():
+    """Oracle for the Gram-adjugate inverse: U @ monomial_map is the identity.
+
+    Row i of U, in the weight basis, is l_i - g_i for the selected drop g_i.
+    """
+    for name in ["G2", "A2", "B3", "C3", "D4", "B4", "C4", "F4", "D5"]:
+        a = algebra(name)
+        t = build_table(a)
+        ident = identity(a.rank)
+        moved = [
+            [
+                tuple((1 if k == i else 0) - x
+                      for k, x in enumerate(weight_coords(a, g)))
+                for g in slot
+            ]
+            for i, slot in enumerate(t.candidates)
+        ]
+        for entry in t.entries:
+            rows = tuple(moved[i][s - 1] for i, s in enumerate(entry.selector))
+            assert mat_mul(rows, entry.monomial_map) == ident
+            if name in ("G2", "B3"):
+                assert entry.monomial_map == inverse_frac(rows)
 
 
 def test_build_is_deterministic(g2):
