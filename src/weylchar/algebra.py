@@ -74,6 +74,9 @@ class Algebra:
     gram_scale with integer entries, for hot integer-only inner products.
     gram_adjugate and gram_det are the adjugate and determinant of
     gram_weight_scaled, so that its inverse is gram_adjugate / gram_det.
+    positive_roots_weight holds the raw integer weight-basis rows of
+    positive_roots, in the same order; the character division and the
+    signature expansion both take their factors from it.
     """
 
     family: str
@@ -81,6 +84,7 @@ class Algebra:
     cartan: tuple
     root_norms: tuple
     positive_roots: tuple          # WeightVec, root basis, by height then lex
+    positive_roots_weight: tuple   # integer weight-basis rows, same order
     fundamental_weights: tuple     # WeightVec, weight basis
     weyl_vector: WeightVec
     cartan_inv: tuple              # Fraction entries
@@ -262,6 +266,7 @@ def build_algebra(family, rank):
         cartan=cartan,
         root_norms=tuple(2 * x for x in d),
         positive_roots=tuple(WeightVec.root(n) for n in pos),
+        positive_roots_weight=tuple(linalg.vec_mat(n, cartan) for n in pos),
         fundamental_weights=tuple(
             WeightVec.weight(tuple(1 if k == i else 0 for k in range(r)))
             for i in range(r)

@@ -1,14 +1,18 @@
 """Characters of irreducible highest-weight modules.
 
-A character is the exact Laurent-polynomial quotient of two alternants:
-the numerator built at the highest weight and the denominator built at
-weight zero.  Exponent rows of the quotient are weight-basis coordinates of
-genuine weights of the module, so the coefficient map *is* the multiplicity
-map with no re-centering left to the caller.
+A character is the exact Laurent-polynomial quotient of the alternant built
+at the highest weight by the Weyl denominator.  By Weyl's denominator
+identity that denominator is e^rho prod_(a > 0) (1 - e^-a) =
+e^-rho prod_(a > 0) (e^a - 1), so the numerator is divided by one binomial
+e^a - 1 per positive root and the quotient translated by rho; the
+denominator alternant is never built.  Exponent rows of the quotient are
+weight-basis coordinates of genuine weights of the module, so the
+coefficient map *is* the multiplicity map with no re-centering left to the
+caller.
 
-Two construction routes exist and must agree: "gamma" reconstructs both
-alternants from the per-algebra table, "weyl" sums over the enumerated
-group.  The quotient itself is route-independent.
+Two construction routes exist for the numerator and must agree: "gamma"
+reconstructs it from the per-algebra table, "weyl" sums over the enumerated
+group.  The division itself is route-independent.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import lru_cache
 from . import linalg, tables, weylgroup
 from .algebra import Algebra, WeightVec, _require_dominant_integral
 from .errors import InputError, IntegrityError
-from .laurent import LaurentPoly, exact_div
+from .laurent import LaurentPoly, divide_by_binomials
 
 METHODS = ("gamma", "weyl")
 
@@ -41,18 +45,27 @@ class CharacterResult:
         )
 
 
-def _alternant_pair(a, m, method, table=None, group=None):
+def _numerator(a, m, method, table=None):
     if method == "gamma":
         t = table if table is not None else tables.shared_table(a)
-        num = tables.alternant(t, WeightVec.weight(m))
-        den = tables.alternant(t, WeightVec.weight((0,) * a.rank))
-    elif method == "weyl":
-        g = group if group is not None else weylgroup.generate(a)
-        num = weylgroup.alternant_direct(a, WeightVec.weight(m), group=g)
-        den = weylgroup.alternant_direct(a, WeightVec.weight((0,) * a.rank), group=g)
-    else:
-        raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
-    return num, den
+        return tables.alternant(t, WeightVec.weight(m))
+    if method == "weyl":
+        return weylgroup.alternant_direct(a, WeightVec.weight(m))
+    raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
+def divide_by_denominator(a, num):
+    """Exact quotient of an alternant by the Weyl denominator of a.
+
+    Divides by e^a - 1 for each positive root a, highest roots first (ties
+    in descending root coordinates), then multiplies by e^rho.  The order is
+    fixed because it keeps the intermediate quotients small (F4 at
+    (0,0,0,1): at most 3588 terms, against 8766 lowest roots first).  A
+    numerator that is not divisible raises NotDivisibleError, an
+    IntegrityError.
+    """
+    quotient = divide_by_binomials(num, reversed(a.positive_roots_weight))
+    return quotient.translate((1,) * a.rank)
 
 
 def character(a, weight, method="gamma", table=None):
@@ -76,8 +89,7 @@ def _character_cached(a, m, method):
 
 
 def _character_impl(a, m, method, table):
-    num, den = _alternant_pair(a, m, method, table=table)
-    poly = exact_div(num, den)
+    poly = divide_by_denominator(a, _numerator(a, m, method, table=table))
     top = poly.coeff(m)
     if top != 1:
         raise IntegrityError(

@@ -251,6 +251,8 @@ def _verify_checks(a, table, depth):
 
 def _cmd_verify(args):
     a = parse_algebra(args.algebra)
+    if args.depth < 0:
+        raise InputError(f"--depth must be non-negative, got {args.depth}")
     table = _get_table(a, args)
     checks = [
         {"name": name, "passed": passed, "detail": detail}

@@ -330,8 +330,7 @@ def check_signatures_by_expansion(table):
             f"capped at {EXPANSION_MAX_ROOTS}"
         )
     prod = LaurentPoly.one(a.rank)
-    for alpha in a.positive_roots:
-        aw = weight_coords(a, alpha)
+    for aw in a.positive_roots_weight:
         factor = LaurentPoly(
             a.rank, {aw: 1, (0,) * a.rank: -1}
         )

@@ -28,7 +28,6 @@ from .algebra import (
     orbit,
     pair_with_root,
     root_coords,
-    weight_coords,
     weyl_order,
 )
 from .errors import EnvelopeError, IntegrityError
@@ -187,7 +186,7 @@ def freudenthal_multiplicities(a, weight):
     lam_plus_rho = WeightVec.weight(tuple(x + 1 for x in m))
     top_norm = bilinear(a, lam_plus_rho, lam_plus_rho)
     pos = [root_coords(a, alpha) for alpha in a.positive_roots]
-    pos_w = [weight_coords(a, alpha) for alpha in a.positive_roots]
+    pos_w = a.positive_roots_weight
     r = a.rank
     cartan = a.cartan
 

@@ -161,6 +161,17 @@ def test_verify_json(capsys, cache):
     assert all(c["passed"] for c in data["checks"])
 
 
+def test_verify_rejects_negative_depth(capsys, cache):
+    for fmt in ("text", "json"):
+        code, out, err = run(
+            capsys, "verify", "--algebra", "B2", "--depth", "-1",
+            "--format", fmt, "--cache-dir", cache,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "--depth" in err and out == ""
+    assert not os.path.exists(cache)  # refused before any table is touched
+
+
 def test_exit_code_2_on_bad_input(capsys, cache):
     for argv in [
         ["character", "--algebra", "Q9", "--weight", "1"],
