@@ -20,13 +20,13 @@ that enumerate the Weyl group refuse them (see the envelope checks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from . import linalg
 from .errors import InputError, IntegrityError
+from .frozen import Frozen
 
 ROOT = "root"
 WEIGHT = "weight"
@@ -37,17 +37,27 @@ def _normalize(x):
     return f.numerator if f.denominator == 1 else f
 
 
-@dataclass(frozen=True)
-class WeightVec:
-    """A vector in the weight space, tagged with the basis of its coords."""
+class WeightVec(Frozen):
+    """A vector in the weight space, tagged with the basis of its coords.
 
-    coords: tuple
-    basis: str
+    Equal, and hashed alike, when both the coordinates and the basis agree.
+    """
 
-    def __post_init__(self):
-        if self.basis not in (ROOT, WEIGHT):
-            raise InputError(f"unknown basis {self.basis!r}")
-        object.__setattr__(self, "coords", tuple(_normalize(c) for c in self.coords))
+    __slots__ = ("coords", "basis")
+
+    def __init__(self, coords, basis):
+        if basis not in (ROOT, WEIGHT):
+            raise InputError(f"unknown basis {basis!r}")
+        object.__setattr__(self, "coords", tuple(_normalize(c) for c in coords))
+        object.__setattr__(self, "basis", basis)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.coords, self.basis) == (other.coords, other.basis)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords, self.basis))
 
     @classmethod
     def root(cls, coords):
@@ -64,8 +74,7 @@ class WeightVec:
         return len(self.coords)
 
 
-@dataclass(frozen=True, eq=False)
-class Algebra:
+class Algebra(Frozen):
     """Immutable root-system data for one simple algebra.
 
     Instances are interned by build_algebra, so identity comparison is fine.
@@ -79,21 +88,57 @@ class Algebra:
     signature expansion both take their factors from it.
     """
 
-    family: str
-    rank: int
-    cartan: tuple
-    root_norms: tuple
-    positive_roots: tuple          # WeightVec, root basis, by height then lex
-    positive_roots_weight: tuple   # integer weight-basis rows, same order
-    fundamental_weights: tuple     # WeightVec, weight basis
-    weyl_vector: WeightVec
-    cartan_inv: tuple              # Fraction entries
-    gram_root: tuple               # integer entries
-    gram_weight: tuple             # Fraction entries
-    gram_weight_scaled: tuple      # integer entries
-    gram_scale: int
-    gram_adjugate: tuple           # integer entries
-    gram_det: int
+    __slots__ = (
+        "family",
+        "rank",
+        "cartan",
+        "root_norms",
+        "positive_roots",          # WeightVec, root basis, by height then lex
+        "positive_roots_weight",   # integer weight-basis rows, same order
+        "fundamental_weights",     # WeightVec, weight basis
+        "weyl_vector",             # WeightVec
+        "cartan_inv",              # Fraction entries
+        "gram_root",               # integer entries
+        "gram_weight",             # Fraction entries
+        "gram_weight_scaled",      # integer entries
+        "gram_scale",              # int
+        "gram_adjugate",           # integer entries
+        "gram_det",                # int
+    )
+
+    def __init__(
+        self,
+        family,
+        rank,
+        cartan,
+        root_norms,
+        positive_roots,
+        positive_roots_weight,
+        fundamental_weights,
+        weyl_vector,
+        cartan_inv,
+        gram_root,
+        gram_weight,
+        gram_weight_scaled,
+        gram_scale,
+        gram_adjugate,
+        gram_det,
+    ):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "cartan", cartan)
+        object.__setattr__(self, "root_norms", root_norms)
+        object.__setattr__(self, "positive_roots", positive_roots)
+        object.__setattr__(self, "positive_roots_weight", positive_roots_weight)
+        object.__setattr__(self, "fundamental_weights", fundamental_weights)
+        object.__setattr__(self, "weyl_vector", weyl_vector)
+        object.__setattr__(self, "cartan_inv", cartan_inv)
+        object.__setattr__(self, "gram_root", gram_root)
+        object.__setattr__(self, "gram_weight", gram_weight)
+        object.__setattr__(self, "gram_weight_scaled", gram_weight_scaled)
+        object.__setattr__(self, "gram_scale", gram_scale)
+        object.__setattr__(self, "gram_adjugate", gram_adjugate)
+        object.__setattr__(self, "gram_det", gram_det)
 
     @property
     def name(self):

@@ -17,25 +17,33 @@ group.  The division itself is route-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, tables, weylgroup
-from .algebra import Algebra, WeightVec, _require_dominant_integral
+from .algebra import WeightVec, _require_dominant_integral
 from .errors import InputError, IntegrityError
+from .frozen import Frozen
 from .laurent import LaurentPoly, divide_by_binomials
 
 METHODS = ("gamma", "weyl")
 
 
-@dataclass(frozen=True, eq=False)
-class CharacterResult:
-    algebra: Algebra
-    highest_weight: WeightVec
-    poly: LaurentPoly     # exponent rows are weight-basis coords of weights
-    dimension: int
-    method: str
+class CharacterResult(Frozen):
+    __slots__ = (
+        "algebra",          # Algebra
+        "highest_weight",   # WeightVec
+        "poly",             # LaurentPoly; exponent rows are weight-basis coords
+        "dimension",        # int
+        "method",           # str
+    )
+
+    def __init__(self, algebra, highest_weight, poly, dimension, method):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "highest_weight", highest_weight)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "method", method)
 
     def __repr__(self):
         coords = list(self.highest_weight.coords)
@@ -45,12 +53,12 @@ class CharacterResult:
         )
 
 
-def _numerator(a, m, method, table=None):
+def _numerator(a, m, method, table=None, group=None):
     if method == "gamma":
         t = table if table is not None else tables.shared_table(a)
         return tables.alternant(t, WeightVec.weight(m))
     if method == "weyl":
-        return weylgroup.alternant_direct(a, WeightVec.weight(m))
+        return weylgroup.alternant_direct(a, WeightVec.weight(m), group=group)
     raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -68,28 +76,30 @@ def divide_by_denominator(a, num):
     return quotient.translate((1,) * a.rank)
 
 
-def character(a, weight, method="gamma", table=None):
+def character(a, weight, method="gamma", table=None, group=None):
     """Character of the irreducible module with the given highest weight.
 
-    weight may be a WeightVec or a row of weight-basis coordinates.  The
-    result is cached per (algebra, weight, method) when no explicit table is
-    passed.
+    weight may be a WeightVec or a row of weight-basis coordinates.  table
+    (method "gamma") or group (method "weyl"), when given, replaces the
+    process-wide table or a freshly generated Weyl group.  The result is
+    cached per (algebra, weight, method) when neither is passed.
     """
     if not isinstance(weight, WeightVec):
         weight = WeightVec.weight(tuple(weight))
     m = _require_dominant_integral(a, weight, what="highest weight")
-    if table is None:
+    if table is None and group is None:
         return _character_cached(a, m, method)
-    return _character_impl(a, m, method, table)
+    return _character_impl(a, m, method, table, group)
 
 
 @lru_cache(maxsize=None)
 def _character_cached(a, m, method):
-    return _character_impl(a, m, method, None)
+    return _character_impl(a, m, method, None, None)
 
 
-def _character_impl(a, m, method, table):
-    poly = divide_by_denominator(a, _numerator(a, m, method, table=table))
+def _character_impl(a, m, method, table, group):
+    num = _numerator(a, m, method, table=table, group=group)
+    poly = divide_by_denominator(a, num)
     top = poly.coeff(m)
     if top != 1:
         raise IntegrityError(

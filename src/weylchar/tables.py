@@ -20,7 +20,8 @@ group when reconstructing:
 
 The number of entries must equal the Weyl group order exactly; any excess or
 deficit is reported as corruption rather than repaired.  Tables serialize to
-a checksummed JSON file so the construction cost is paid once per algebra.
+a compact, checksummed JSON file.  Loading one revalidates every entry, so a
+load costs about as much as a build (scripts/time_tables.py).
 """
 
 from __future__ import annotations
@@ -29,13 +30,11 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
 from . import linalg
 from .algebra import (
-    Algebra,
     WeightVec,
     _require_dominant_integral,
     build_algebra,
@@ -45,6 +44,7 @@ from .algebra import (
     weyl_order,
 )
 from .errors import EnvelopeError, InputError, IntegrityError, TableCacheError
+from .frozen import Frozen
 from .laurent import LaurentPoly
 from .weylgroup import check_envelope
 
@@ -76,8 +76,7 @@ def orbit_drops(a, i):
     return tuple(WeightVec.root(n) for n in out)
 
 
-@dataclass(frozen=True, eq=False)
-class TableEntry:
+class TableEntry(Frozen):
     """One signed term of the reconstructed alternant.
 
     selector holds one-based candidate indices, slot by slot.  monomial_map
@@ -85,16 +84,25 @@ class TableEntry:
     dominant weight L is (rho + L) @ monomial_map.
     """
 
-    selector: tuple
-    signature: int
-    monomial_map: tuple
+    __slots__ = ("selector", "signature", "monomial_map")
+
+    def __init__(self, selector, signature, monomial_map):
+        object.__setattr__(self, "selector", selector)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "monomial_map", monomial_map)
 
 
-@dataclass(frozen=True, eq=False)
-class AlternantTable:
-    algebra: Algebra
-    candidates: tuple   # per slot: tuple of WeightVec (root basis)
-    entries: tuple      # TableEntry, sorted by selector
+class AlternantTable(Frozen):
+    __slots__ = (
+        "algebra",      # Algebra
+        "candidates",   # per slot: tuple of WeightVec (root basis)
+        "entries",      # TableEntry, sorted by selector
+    )
+
+    def __init__(self, algebra, candidates, entries):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def size(self):
@@ -262,17 +270,19 @@ def entry_exponents(table, entry, weight):
     return WeightVec.root(linalg.vec_mat(e, a.cartan_inv))
 
 
-@dataclass(frozen=True, eq=False)
-class AffineExponents:
+class AffineExponents(Frozen):
     """Symbolic exponent rows of one entry, affine in the weight coords s.
 
     Coordinate i of the root-basis exponent is
     constant[i] + sum_j s[j] * linear[j][i].
     """
 
-    signature: int
-    constant: tuple
-    linear: tuple
+    __slots__ = ("signature", "constant", "linear")
+
+    def __init__(self, signature, constant, linear):
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "linear", linear)
 
     def evaluate(self, s):
         r = len(self.constant)
@@ -394,7 +404,8 @@ def save_table(table, path=None, cache_dir=None):
     payload = _payload(table)
     payload["checksum"] = _checksum(payload)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    blob = json.dumps(payload, sort_keys=True, indent=1)
+    # compact separators keep json on its C encoder; indent would not
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=".json"
     )

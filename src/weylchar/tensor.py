@@ -14,32 +14,37 @@ means an upstream bug and raises IntegrityError rather than being patched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
-from . import linalg
-from .algebra import Algebra, WeightVec, _require_dominant_integral
+from . import linalg, weylgroup
+from .algebra import WeightVec, _require_dominant_integral
 from .characters import character
 from .errors import IntegrityError
+from .frozen import Frozen
 
 
-@dataclass(frozen=True, eq=False)
-class Decomposition:
-    algebra: Algebra
-    left: tuple
-    right: tuple
-    summands: tuple   # ((weight coords, multiplicity), ...) in peel order
+class Decomposition(Frozen):
+    __slots__ = (
+        "algebra",    # Algebra
+        "left",       # weight coords
+        "right",      # weight coords
+        "summands",   # ((weight coords, multiplicity), ...) in peel order
+    )
+
+    def __init__(self, algebra, left, right, summands):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "summands", summands)
 
     def as_dict(self):
         return dict(self.summands)
 
     @property
     def total_dimension(self):
-        from .weylgroup import weyl_dimension
-
         a = self.algebra
         return sum(
-            mult * weyl_dimension(a, WeightVec.weight(w))
+            mult * weylgroup.weyl_dimension(a, WeightVec.weight(w))
             for w, mult in self.summands
         )
 
@@ -55,7 +60,8 @@ def tensor_decompose(a, left, right, method="gamma", table=None):
     left and right are highest weights (WeightVec or coordinate rows).
     Summands come out in peel order: descending graded-lex on root-basis
     coordinates, a linear extension of dominance.  table, when given, is
-    passed on to every character computation.
+    passed on to every character computation; with method "weyl" the Weyl
+    group is generated once here and passed on the same way.
     """
     if not isinstance(left, WeightVec):
         left = WeightVec.weight(tuple(left))
@@ -64,9 +70,11 @@ def tensor_decompose(a, left, right, method="gamma", table=None):
     lm = _require_dominant_integral(a, left, what="left highest weight")
     rm = _require_dominant_integral(a, right, what="right highest weight")
 
+    group = weylgroup.generate(a) if method == "weyl" else None
+
     @cache  # left, right and the peeled tops may coincide
     def char(m):
-        return character(a, m, method, table=table).poly
+        return character(a, m, method, table=table, group=group).poly
 
     product = char(lm) * char(rm)
     remainder = dict(product.terms)

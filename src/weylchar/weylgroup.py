@@ -15,12 +15,10 @@ ENVELOPE_MAX_ORDER = |W(E6)|; anything beyond that (the order of W(E8) is
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .algebra import (
-    Algebra,
     WeightVec,
     _dominant_coords,
     _require_dominant_integral,
@@ -31,6 +29,7 @@ from .algebra import (
     weyl_order,
 )
 from .errors import EnvelopeError, IntegrityError
+from .frozen import Frozen
 from .laurent import LaurentPoly
 
 ENVELOPE_MAX_ORDER = 51840
@@ -48,13 +47,19 @@ def check_envelope(a):
     return order
 
 
-@dataclass(frozen=True, eq=False)
-class WeylGroup:
+class WeylGroup(Frozen):
     """All elements of the Weyl group with their determinant signs."""
 
-    algebra: Algebra
-    elements: tuple   # integer matrices, canonical (sorted) order
-    signatures: tuple
+    __slots__ = (
+        "algebra",      # Algebra
+        "elements",     # integer matrices, canonical (sorted) order
+        "signatures",
+    )
+
+    def __init__(self, algebra, elements, signatures):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "signatures", signatures)
 
     @property
     def order(self):

@@ -1,0 +1,130 @@
+"""Immutable records: no assignment, equality rules, reprs, light imports."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import weylchar
+from weylchar.algebra import WeightVec, build_algebra
+from weylchar.characters import character
+from weylchar.tables import build_table, exponent_forms
+from weylchar.tensor import tensor_decompose
+from weylchar.weylgroup import generate
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each record type, plus an independently built twin."""
+    g2 = build_algebra("G", 2)
+
+    def make():
+        table = build_table(g2)
+        return {
+            "WeightVec": WeightVec.weight((1, 0)),
+            "Algebra": g2,
+            "TableEntry": table.entries[0],
+            "AlternantTable": table,
+            "AffineExponents": exponent_forms(table)[0],
+            "WeylGroup": generate(g2),
+            # explicit tables skip the per-process character cache
+            "CharacterResult": character(g2, (1, 0), table=table),
+            "Decomposition": tensor_decompose(g2, (1, 0), (0, 1), table=table),
+        }
+
+    return make(), make()
+
+
+# record type -> one of its fields
+FIELDS = {
+    "WeightVec": "coords",
+    "Algebra": "rank",
+    "TableEntry": "signature",
+    "AlternantTable": "entries",
+    "AffineExponents": "constant",
+    "WeylGroup": "elements",
+    "CharacterResult": "poly",
+    "Decomposition": "summands",
+}
+
+
+@pytest.mark.parametrize("name, field", FIELDS.items())
+def test_records_are_immutable(records, name, field):
+    obj = records[0][name]
+    assert type(obj).__name__ == name
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, None)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    assert getattr(obj, field) is before
+
+
+def test_weightvec_compares_by_value():
+    v = WeightVec.weight((1, 0))
+    assert v == WeightVec(coords=(1, 0), basis="weight")
+    assert v != WeightVec.root((1, 0))
+    assert v != (1, 0)
+    assert hash(v) == hash(WeightVec.weight((1, 0)))
+    assert len({v, WeightVec.weight((1, 0)), WeightVec.root((1, 0))}) == 2
+    assert {v: "x"}[WeightVec.weight([1, 0])] == "x"
+
+
+@pytest.mark.parametrize("name", list(FIELDS)[1:])
+def test_other_records_compare_by_identity(records, name):
+    first, twin = records[0][name], records[1][name]
+    assert first == first
+    if name == "Algebra":
+        assert twin is first  # interned by build_algebra
+    else:
+        assert twin is not first and twin != first
+        assert hash(first) == object.__hash__(first)
+
+
+def test_reprs(records):
+    r = records[0]
+    g2 = r["Algebra"]
+    group = r["WeylGroup"]
+    assert repr(r["WeightVec"]) == "WeightVec(coords=(1, 0), basis='weight')"
+    assert repr(g2) == "Algebra(G2)"
+    assert repr(r["AlternantTable"]) == "AlternantTable(G2, entries=12)"
+    assert repr(r["TableEntry"]) == (
+        "TableEntry(selector=(1, 1), signature=1, "
+        "monomial_map=((1, 0), (0, 1)))"
+    )
+    assert repr(r["AffineExponents"]) == (
+        "AffineExponents(signature=1, "
+        "constant=(Fraction(3, 1), Fraction(5, 1)), "
+        "linear=((Fraction(2, 1), Fraction(3, 1)), "
+        "(Fraction(1, 1), Fraction(2, 1))))"
+    )
+    assert repr(group) == (
+        f"WeylGroup(algebra=Algebra(G2), elements={group.elements!r}, "
+        f"signatures={group.signatures!r})"
+    )
+    assert repr(r["CharacterResult"]) == "CharacterResult(G2, [1, 0], dim=14)"
+    assert repr(r["Decomposition"]) == (
+        "Decomposition(algebra=Algebra(G2), left=(1, 0), right=(0, 1), "
+        "summands=(((1, 1), 1), ((0, 2), 1), ((0, 1), 1)))"
+    )
+
+
+def test_cli_import_leaves_out_heavy_modules():
+    src = os.path.dirname(os.path.dirname(weylchar.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    probe = (
+        "import sys, weylchar.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert proc.stdout.strip() == ""

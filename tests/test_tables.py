@@ -259,6 +259,33 @@ def test_cache_payload_fields(tmp_path, g2_table):
     assert len(data["checksum"]) == 64
 
 
+def test_cache_file_is_compact(tmp_path, g2_table):
+    path = save_table(g2_table, cache_dir=str(tmp_path))
+    text = open(path).read()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert ", " not in text and ": " not in text
+
+
+@pytest.mark.parametrize("name", ["G2", "B3"])
+def test_indented_cache_still_loads(tmp_path, name):
+    """A cache written with indent=1, as earlier versions did, loads unchanged."""
+    table = build_table(algebra(name))
+    payload = tables._payload(table)
+    payload["checksum"] = tables._checksum(payload)
+    path = table_cache_path(table.algebra, str(tmp_path))
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=1))
+        fh.write("\n")
+    loaded = load_table(path)
+    assert loaded.algebra is table.algebra
+    assert loaded.candidates == table.candidates
+    assert [(e.selector, e.signature, e.monomial_map) for e in loaded.entries] \
+        == [(e.selector, e.signature, e.monomial_map) for e in table.entries]
+    # the compact file carries the same payload and checksum
+    compact = save_table(table, cache_dir=str(tmp_path / "compact"))
+    assert json.loads(open(compact).read()) == json.loads(open(path).read())
+
+
 def _tampered(path, mutate):
     data = json.loads(open(path).read())
     mutate(data)

@@ -3,6 +3,7 @@
 import pytest
 
 import golden_g2
+from weylchar import characters, weylgroup
 from weylchar.algebra import WeightVec, build_algebra
 from weylchar.errors import InputError
 from weylchar.tensor import tensor_decompose
@@ -61,6 +62,25 @@ def test_methods_agree(a2):
     gamma = tensor_decompose(a2, (1, 0), (0, 1), method="gamma")
     weyl = tensor_decompose(a2, (1, 0), (0, 1), method="weyl")
     assert gamma.as_dict() == weyl.as_dict() == {(1, 1): 1, (0, 0): 1}
+
+
+def test_weyl_route_generates_the_group_once(g2, monkeypatch):
+    calls = []
+    real_generate = weylgroup.generate
+
+    def counting_generate(a):
+        calls.append(a.name)
+        return real_generate(a)
+
+    monkeypatch.setattr(weylgroup, "generate", counting_generate)
+    characters._character_cached.cache_clear()
+    dec = tensor_decompose(g2, (1, 1), (1, 0), method="weyl")
+    assert len(dec.summands) == 7
+    assert calls == ["G2"]
+    # a bare direct alternant still prices in generating the group
+    weylgroup.alternant_direct(g2, WeightVec.weight((1, 0)))
+    weylgroup.alternant_direct(g2, WeightVec.weight((1, 0)))
+    assert calls == ["G2"] * 3
 
 
 def test_input_errors(g2):
