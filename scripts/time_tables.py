@@ -1,20 +1,38 @@
-"""Time the per-algebra set-up stages: table build, cache load, group generation.
+"""Time the per-algebra stages: orbit drops, table build and load, group
+generation, and one alternant by either route.
 
 Each stage is run --repeat times per algebra and the best wall time is
-printed in milliseconds.  The load is of a table this script saved to a
-temporary directory first, so it includes the full revalidation.  To compare
-two checkouts, run the script against each source tree:
+printed in milliseconds:
+
+    drops       orbit_drops for every slot
+    build       build_table
+    load        load_table of a table this script saved to a temporary
+                directory first, so it includes the full revalidation
+    generate    weylgroup.generate
+    alt table   one alternant from the table, averaged over --weights
+                dominant weights (the first ones of the graded box)
+    alt W       the same alternants summed directly over a group
+                generated once, outside the timing
+
+To compare two checkouts, run the script against each source tree:
 
     PYTHONPATH=<checkout>/src python3 scripts/time_tables.py
 """
 
 import argparse
+import itertools
 import tempfile
 import time
 
-from weylchar.algebra import parse_algebra
-from weylchar.tables import build_table, load_table, save_table
-from weylchar.weylgroup import generate
+from weylchar.algebra import WeightVec, parse_algebra
+from weylchar.tables import (
+    alternant,
+    build_table,
+    load_table,
+    orbit_drops,
+    save_table,
+)
+from weylchar.weylgroup import alternant_direct, generate
 
 DEFAULT = ["D4", "B4", "F4", "D5"]
 
@@ -28,26 +46,55 @@ def best_ms(fn, repeat):
     return min(times) * 1e3
 
 
+def sample_weights(rank, count):
+    top = 2
+    while top ** rank < count:
+        top += 1
+    box = sorted(
+        itertools.product(range(top), repeat=rank), key=lambda c: (sum(c), c)
+    )
+    return [WeightVec.weight(c) for c in box[:count]]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5,
                         help="runs per stage; the best is printed (default 5)")
+    parser.add_argument("--weights", type=int, default=10,
+                        help="alternants per route and run (default 10)")
     parser.add_argument("--algebras", nargs="*", default=DEFAULT,
                         metavar="NAME")
     args = parser.parse_args()
 
-    print(f"{'algebra':>8} {'|W|':>6} {'build':>9} {'load':>9} {'generate':>9}")
+    print(
+        f"{'algebra':>8} {'|W|':>6} {'drops':>9} {'build':>9} {'load':>9} "
+        f"{'generate':>9} {'alt table':>10} {'alt W':>9}"
+    )
     with tempfile.TemporaryDirectory() as cache_dir:
         for name in args.algebras:
             a = parse_algebra(name)
             table = build_table(a)
+            group = generate(a)
             path = save_table(table, cache_dir=cache_dir)
+            weights = sample_weights(a.rank, args.weights)
+            n = len(weights)
+            drops = best_ms(
+                lambda: [orbit_drops(a, i) for i in range(a.rank)], args.repeat
+            )
             build = best_ms(lambda: build_table(a), args.repeat)
             load = best_ms(lambda: load_table(path), args.repeat)
             gen = best_ms(lambda: generate(a), args.repeat)
+            alt_table = best_ms(
+                lambda: [alternant(table, w) for w in weights], args.repeat
+            ) / n
+            alt_w = best_ms(
+                lambda: [alternant_direct(a, w, group=group) for w in weights],
+                args.repeat,
+            ) / n
             print(
-                f"{a.name:>8} {table.size:>6} {build:>7.0f}ms {load:>7.0f}ms "
-                f"{gen:>7.0f}ms"
+                f"{a.name:>8} {table.size:>6} {drops:>7.1f}ms {build:>7.1f}ms "
+                f"{load:>7.1f}ms {gen:>7.1f}ms {alt_table:>8.3f}ms "
+                f"{alt_w:>7.3f}ms"
             )
 
 

@@ -48,7 +48,11 @@ class WeightVec(Frozen):
     def __init__(self, coords, basis):
         if basis not in (ROOT, WEIGHT):
             raise InputError(f"unknown basis {basis!r}")
-        object.__setattr__(self, "coords", tuple(_normalize(c) for c in coords))
+        object.__setattr__(
+            self,
+            "coords",
+            tuple(c if type(c) is int else _normalize(c) for c in coords),
+        )
         object.__setattr__(self, "basis", basis)
 
     def __eq__(self, other):
@@ -81,8 +85,8 @@ class Algebra(Frozen):
     gram_root and gram_weight hold the invariant form on root-basis and
     weight-basis rows respectively; gram_weight_scaled is gram_weight times
     gram_scale with integer entries, for hot integer-only inner products.
-    gram_adjugate and gram_det are the adjugate and determinant of
-    gram_weight_scaled, so that its inverse is gram_adjugate / gram_det.
+    cartan_adjugate and cartan_det are the integer adjugate and the
+    determinant of cartan, so that cartan_inv is cartan_adjugate / cartan_det.
     positive_roots_weight holds the raw integer weight-basis rows of
     positive_roots, in the same order; the character division and the
     signature expansion both take their factors from it.
@@ -102,8 +106,8 @@ class Algebra(Frozen):
         "gram_weight",             # Fraction entries
         "gram_weight_scaled",      # integer entries
         "gram_scale",              # int
-        "gram_adjugate",           # integer entries
-        "gram_det",                # int
+        "cartan_adjugate",         # integer entries
+        "cartan_det",              # int, positive
     )
 
     def __init__(
@@ -121,8 +125,8 @@ class Algebra(Frozen):
         gram_weight,
         gram_weight_scaled,
         gram_scale,
-        gram_adjugate,
-        gram_det,
+        cartan_adjugate,
+        cartan_det,
     ):
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "rank", rank)
@@ -137,8 +141,8 @@ class Algebra(Frozen):
         object.__setattr__(self, "gram_weight", gram_weight)
         object.__setattr__(self, "gram_weight_scaled", gram_weight_scaled)
         object.__setattr__(self, "gram_scale", gram_scale)
-        object.__setattr__(self, "gram_adjugate", gram_adjugate)
-        object.__setattr__(self, "gram_det", gram_det)
+        object.__setattr__(self, "cartan_adjugate", cartan_adjugate)
+        object.__setattr__(self, "cartan_det", cartan_det)
 
     @property
     def name(self):
@@ -279,11 +283,17 @@ def build_algebra(family, rank):
                 raise IntegrityError("Cartan matrix is not symmetrizable by d")
 
     cartan_inv = linalg.inverse_frac(cartan)
+    cartan_det = linalg.det_int(cartan)
+    cartan_adjugate = tuple(
+        tuple(int(x * cartan_det) for x in row) for row in cartan_inv
+    )
     gram_root = tuple(
         tuple(cartan[i][j] * d[j] for j in range(r)) for i in range(r)
     )
-    gram_weight = linalg.mat_mul(
-        linalg.mat_mul(cartan_inv, gram_root), linalg.transpose(cartan_inv)
+    # (l_i, l_j) = cartan_inv[i][j] (a_j, a_j) / 2, as l_i pairs with a_j to
+    # delta_ij d_j
+    gram_weight = tuple(
+        tuple(cartan_inv[i][j] * d[j] for j in range(r)) for i in range(r)
     )
     scale = 1
     for row in gram_weight:
@@ -291,11 +301,6 @@ def build_algebra(family, rank):
             scale = scale * x.denominator // _gcd(scale, x.denominator)
     gram_weight_scaled = tuple(
         tuple(int(x * scale) for x in row) for row in gram_weight
-    )
-    gram_det = linalg.det_int(gram_weight_scaled)
-    gram_adjugate = tuple(
-        tuple(int(x * gram_det) for x in row)
-        for row in linalg.inverse_frac(gram_weight_scaled)
     )
 
     pos = _positive_root_coords(cartan)
@@ -322,8 +327,8 @@ def build_algebra(family, rank):
         gram_weight=gram_weight,
         gram_weight_scaled=gram_weight_scaled,
         gram_scale=scale,
-        gram_adjugate=gram_adjugate,
-        gram_det=gram_det,
+        cartan_adjugate=cartan_adjugate,
+        cartan_det=cartan_det,
     )
 
 

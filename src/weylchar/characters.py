@@ -129,15 +129,26 @@ def multiplicities(result):
 def _root_exponent_terms(a, poly):
     """Terms of poly re-expressed with root-basis exponent rows.
 
-    Exponents become exact Fractions whenever the weight and root lattices
-    differ.  Sorted descending by total degree then lexicographically.
+    A weight-basis row e has root-basis row e @ cartan_adjugate / cartan_det.
+    The terms are sorted on the integer rows e @ cartan_adjugate, which
+    orders them as the root-basis rows since cartan_det > 0, and a
+    coordinate becomes a Fraction only where the division leaves a
+    remainder, which happens whenever the weight and root lattices differ.
+    Sorted descending by total degree then lexicographically.
     """
-    out = []
-    for e, c in poly.terms.items():
-        n = linalg.vec_mat(e, a.cartan_inv)
-        out.append((tuple(Fraction(x) for x in n), c))
-    out.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
-    return out
+    det = a.cartan_det
+    scaled = sorted(
+        (
+            (linalg.vec_mat(e, a.cartan_adjugate), c)
+            for e, c in poly.terms.items()
+        ),
+        key=lambda t: (sum(t[0]), t[0]),
+        reverse=True,
+    )
+    return [
+        (tuple([Fraction(x, det) if x % det else x // det for x in n]), c)
+        for n, c in scaled
+    ]
 
 
 def alpha_variables(rank):
@@ -173,7 +184,7 @@ def render_root_basis(a, poly):
             if x == 1:
                 factors.append(name)
             else:
-                factors.append(f"{name}^{_fmt_exponent(Fraction(x))}")
+                factors.append(f"{name}^{_fmt_exponent(x)}")
         mag = abs(coeff)
         body = " ".join(factors) if factors else "1"
         if mag != 1 or not factors:

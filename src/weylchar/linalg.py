@@ -7,6 +7,7 @@ vector v as v @ M.  Row i of M is the image of the i-th basis vector.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import IntegrityError
 
@@ -17,8 +18,7 @@ def identity(n):
 
 def vec_mat(v, m):
     """Row vector times matrix."""
-    cols = range(len(m[0]))
-    return tuple(sum(v[i] * m[i][k] for i in range(len(v))) for k in cols)
+    return tuple([sum(map(mul, v, col)) for col in zip(*m)])
 
 
 def mat_mul(a, b):
@@ -27,10 +27,6 @@ def mat_mul(a, b):
         tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in cols)
         for row in a
     )
-
-
-def transpose(m):
-    return tuple(zip(*m))
 
 
 def det_int(m):

@@ -8,15 +8,20 @@ group when reconstructing:
 * For each slot i the candidate vectors are the differences l_i - mu with mu
   running over the Weyl orbit of the i-th fundamental weight l_i.  Each
   candidate lies in the positive root lattice and satisfies the diagonal
-  quadratic condition (l_i - g, l_i - g) = (l_i, l_i) automatically.
+  quadratic condition (l_i - g, l_i - g) = (l_i, l_i) automatically.  The
+  orbit walk carries the root coordinates of l_i - mu along, so they need
+  no change of basis.
 * A table entry selects one candidate per slot such that all cross products
   match: (l_i - g_i, l_j - g_j) = (l_i, l_j).  The selections are found by
   backtracking over slots ordered by ascending candidate count, pruning with
-  precomputed pairwise compatibility sets.
+  precomputed pairwise compatibility sets; a load checks stored selections
+  against the same sets.
 * Each entry determines a linear map U on weight space by U(l_i) = l_i - g_i.
   U is orthogonal with determinant +-1; the determinant is the entry's
   signature, and the entry's monomial for a dominant weight L is
-  e^(U^-1(rho + L)), computed integrally in weight-basis coordinates.
+  e^(U^-1(rho + L)).  With g_i in coroot coordinates, scaled by 1/d_i, as
+  the rows h_i of H, U^-1 = I - H^T C for the Cartan matrix C: integers
+  throughout, no division and no inverse (see _entries).
 
 The number of entries must equal the Weyl group order exactly; any excess or
 deficit is reported as corruption rather than repaired.  Tables serialize to
@@ -29,18 +34,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import tempfile
 from functools import lru_cache
-from operator import mul
+from itertools import repeat
+from operator import mul, xor
 
 from . import linalg
 from .algebra import (
     WeightVec,
     _require_dominant_integral,
     build_algebra,
-    orbit,
-    root_coords,
-    weight_coords,
     weyl_order,
 )
 from .errors import EnvelopeError, InputError, IntegrityError, TableCacheError
@@ -49,6 +53,8 @@ from .laurent import LaurentPoly
 from .weylgroup import check_envelope
 
 FORMAT_VERSION = 1
+_DIGIT = 64             # bits per coordinate in the packed rows of the trie walk
+_HALF = 1 << (_DIGIT - 1)
 EXPANSION_MAX_ROOTS = 12
 CACHE_DIR_ENV = "WEYLCHAR_CACHE_DIR"
 
@@ -58,21 +64,31 @@ def orbit_drops(a, i):
 
     Returned in root-basis coordinates (always non-negative integers),
     sorted by height and then lexicographically.  The one-based position in
-    this list is the index entries refer to.
+    this list is the index entries refer to.  The orbit is walked downwards
+    from l_i: reflecting mu in a_j subtracts mu_j a_j, so it adds mu_j > 0 to
+    coordinate j of l_i - mu, and the root coordinates come out of the walk
+    with no change of basis.
     """
     if not 0 <= i < a.rank:
         raise InputError(f"slot {i} out of range for rank {a.rank}")
-    lam = a.fundamental_weights[i]
-    out = []
-    for mu in orbit(a, lam):
-        diff = tuple(x - y for x, y in zip(lam.coords, mu.coords))
-        n = root_coords(a, WeightVec.weight(diff))
-        if any(not isinstance(x, int) or x < 0 for x in n):
-            raise IntegrityError(
-                f"orbit difference {diff} is not in the positive root lattice"
-            )
-        out.append(n)
-    out.sort(key=lambda n: (sum(n), n))
+    cartan = a.cartan
+    lam = a.fundamental_weights[i].coords
+    depth = {lam: (0,) * a.rank}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for j, c in enumerate(mu):
+                if c <= 0:
+                    continue
+                img = tuple([x - c * y for x, y in zip(mu, cartan[j])])
+                if img not in depth:
+                    n = list(depth[mu])
+                    n[j] += c
+                    depth[img] = tuple(n)
+                    nxt.append(img)
+        frontier = nxt
+    out = sorted(depth.values(), key=lambda n: (sum(n), n))
     return tuple(WeightVec.root(n) for n in out)
 
 
@@ -93,16 +109,27 @@ class TableEntry(Frozen):
 
 
 class AlternantTable(Frozen):
+    """The table of one algebra: candidates per slot and the |W| entries.
+
+    coroots holds the coroot row h of every candidate, slot by slot
+    (_candidate_profiles).  levels is the trie of the sorted selectors
+    (_selector_trie); its last level lines up with entries.
+    """
+
     __slots__ = (
         "algebra",      # Algebra
         "candidates",   # per slot: tuple of WeightVec (root basis)
         "entries",      # TableEntry, sorted by selector
+        "coroots",      # per slot: integer rows h, one per candidate
+        "levels",       # per slot: (parents, candidates) of the selector trie
     )
 
-    def __init__(self, algebra, candidates, entries):
+    def __init__(self, algebra, candidates, entries, coroots, levels):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "coroots", coroots)
+        object.__setattr__(self, "levels", levels)
 
     @property
     def size(self):
@@ -113,53 +140,182 @@ class AlternantTable(Frozen):
 
 
 def _candidate_profiles(a, cands):
-    """Weight rows of l_i - g and their scaled-Gram images, per slot."""
+    """Per slot i and candidate g: the weight row of l_i - g, its image under
+    the scaled Gram matrix, and the coroot row h of g.
+
+    With g = sum_k g_k a_k and d_k = (a_k, a_k) / 2, h_k = g_k d_k / d_i:
+    the coordinates of (l_i - w l_i) / d_i in the simple coroots a_k / d_k.
+    They are integers, because l_i / d_i is a fundamental coweight and w
+    moves it by an element of the coroot lattice.
+    """
     r = a.rank
+    d = [n // 2 for n in a.root_norms]
     vrows = []
     grows = []
+    hrows = []
     for i in range(r):
         vs = []
         gs = []
+        hs = []
         for g in cands[i]:
-            gw = weight_coords(a, g)
-            v = tuple((1 if k == i else 0) - gw[k] for k in range(r))
+            gw = linalg.vec_mat(g.coords, a.cartan)
+            v = tuple([(1 if k == i else 0) - gw[k] for k in range(r)])
             vs.append(v)
             gs.append(linalg.vec_mat(v, a.gram_weight_scaled))
+            h = [x * d[k] for k, x in enumerate(g.coords)]
+            if any(y % d[i] for y in h):
+                raise IntegrityError(
+                    f"drop {g.coords} of slot {i + 1} has no integral coroot row"
+                )
+            hs.append(tuple([y // d[i] for y in h]))
         vrows.append(vs)
         grows.append(gs)
-    return vrows, grows
+        hrows.append(tuple(hs))
+    return vrows, grows, tuple(hrows)
 
 
-def _entry_from_rows(a, selector, rows, grows):
-    """Table entry of the map M with the given rows; grows are the rows of M S.
+def _compatibility(a, vrows, grows):
+    """Which candidates meet the quadratic conditions, slot by slot and pairwise.
 
-    Precondition: M satisfies the quadratic conditions M S M^T = S for the
-    scaled Gram matrix S = a.gram_weight_scaled.  build_table's search and
-    load_table's revalidation both establish them before calling here.  Then
-    M^-1 = S M^T S^-1 = (adj(S) (M S))^T / det(S), which costs one integer
-    matrix product and an exact division per entry.
+    Returns (diagonal, compat).  diagonal[i] is the frozenset of candidate
+    indices x of slot i with (l_i - g_x, l_i - g_x) = (l_i, l_i).  For i != j,
+    compat[(i, j)][x] is the frozenset of indices y of slot j with
+    (l_i - g_x, l_j - g_y) = (l_i, l_j); both directions are stored.
+    Indices are zero-based.  build_table searches these sets and load_table
+    checks stored selectors against them.
     """
-    m = tuple(rows)
-    det = linalg.det_int(m)
-    if det not in (1, -1):
-        raise IntegrityError(
-            f"entry {selector} does not define an orthogonal map (det {det})"
+    r = a.rank
+    s = a.gram_weight_scaled
+    diagonal = tuple(
+        frozenset(
+            x for x, (gv, v) in enumerate(zip(grows[i], vrows[i]))
+            if sum(map(mul, gv, v)) == s[i][i]
         )
-    # row j of M^-1 is adj(S) times column j of M S, over det(S); adj(S) is
-    # symmetric, so its rows serve as its columns
-    inverse = []
-    for col in zip(*grows):
-        row = []
-        for adj_row in a.gram_adjugate:
-            q, rem = divmod(sum(map(mul, adj_row, col)), a.gram_det)
-            if rem:
-                raise IntegrityError(f"entry {selector} has no integral inverse")
-            row.append(q)
-        inverse.append(tuple(row))
-    return TableEntry(
-        selector=selector,
-        signature=det,
-        monomial_map=tuple(inverse),
+        for i in range(r)
+    )
+    compat = {}
+    for i in range(r):
+        for j in range(i + 1, r):
+            target = s[i][j]
+            fwd = []
+            back = [set() for _ in vrows[j]]
+            for x, gv in enumerate(grows[i]):
+                ok = frozenset(
+                    y for y, v in enumerate(vrows[j])
+                    if sum(map(mul, gv, v)) == target
+                )
+                fwd.append(ok)
+                for y in ok:
+                    back[y].add(x)
+            compat[(i, j)] = fwd
+            compat[(j, i)] = [frozenset(b) for b in back]
+    return diagonal, compat
+
+
+def _selector_trie(selectors, r):
+    """The trie of sorted selectors, as one (parents, candidates) pair per slot.
+
+    Node n of level k extends node parents[n] of level k - 1 by the
+    zero-based candidate candidates[n] of slot k.  Consecutive selectors
+    share the nodes of their common prefix, and the last level has one node
+    per selector, in the same order.
+    """
+    parents = [[] for _ in range(r)]
+    cands = [[] for _ in range(r)]
+    prev = None
+    for s in selectors:
+        k = 0
+        if prev is not None:
+            while k < r - 1 and s[k] == prev[k]:
+                k += 1
+        for j in range(k, r):
+            parents[j].append(len(parents[j - 1]) - 1 if j else 0)
+            cands[j].append(s[j] - 1)
+        prev = s
+    return tuple(zip(map(tuple, parents), map(tuple, cands)))
+
+
+def _pack(row):
+    """One integer holding the coordinates of row as 64-bit digits."""
+    return sum(x << (_DIGIT * k) for k, x in enumerate(row))
+
+
+def _walk(levels, start, shifts, width, bound):
+    """Rows of the trie's last level: start minus the shifts along each path.
+
+    start and shifts[k][c], the row that candidate c of slot k subtracts,
+    are rows of width coordinates packed by _pack.  A node's row is
+    computed once, as one integer subtraction, and shared by every selector
+    through it; the last level comes back as tuples.  bound caps the
+    absolute value of every coordinate there: each must fit a signed
+    64-bit digit, and an EnvelopeError is raised up front if one may not.
+    """
+    if bound >= _HALF:
+        raise EnvelopeError(
+            f"exponent rows may reach {bound}, past the signed 64-bit "
+            "coordinates of the table walk"
+        )
+    offset = _pack([_HALF] * width)   # keeps every digit non-negative
+    rows = [start + offset]
+    for (parents, cands), shift in zip(levels, shifts):
+        rows = [rows[p] - shift[c] for p, c in zip(parents, cands)]
+    # flipping the top bits back leaves each digit e in two's complement
+    blob = b"".join(
+        map(int.to_bytes, map(xor, rows, repeat(offset)),
+            repeat(8 * width), repeat("little"))
+    )
+    flat = struct.unpack(f"<{len(rows) * width}q", blob)
+    return list(zip(*[iter(flat)] * width))
+
+
+def _entries(a, selectors, levels, vrows, hrows):
+    """The table entries of the given sorted selectors.
+
+    The entry map U has the rows l_i - g_i.  The quadratic conditions make
+    it orthogonal; build_table's search and load_table's revalidation both
+    establish them before calling here.  Then row j of U^-1 is l_j minus
+    sum_i ((l_j, g_i) / d_i) a_i, that is U^-1 = I - H^T C, with H the
+    matrix of the coroot rows h_i of the selected candidates and C the
+    Cartan matrix.  H^T C is the sum over slots of the outer products
+    h_i C[i], one per candidate, so the maps come out of one walk down the
+    selector trie with no division and no matrix product.  The signature is
+    the determinant of U, which must be +-1.
+    """
+    r = a.rank
+    outer = [
+        [tuple([x * y for x in h for y in crow]) for h in hats]
+        for hats, crow in zip(hrows, a.cartan)
+    ]
+    bound = 1 + sum(max(abs(x) for row in slot for x in row) for slot in outer)
+    start = _pack([1 if j == k else 0 for j in range(r) for k in range(r)])
+    shifts = [[_pack(row) for row in slot] for slot in outer]
+    entries = []
+    for selector, flat in zip(
+        selectors, _walk(levels, start, shifts, r * r, bound)
+    ):
+        det = linalg.det_int([vrows[i][x - 1] for i, x in enumerate(selector)])
+        if det not in (1, -1):
+            raise IntegrityError(
+                f"entry {selector} does not define an orthogonal map (det {det})"
+            )
+        entries.append(
+            TableEntry(
+                selector=selector,
+                signature=det,
+                monomial_map=tuple([flat[j:j + r] for j in range(0, r * r, r)]),
+            )
+        )
+    return tuple(entries)
+
+
+def _assemble(a, cands, selectors, vrows, hrows):
+    levels = _selector_trie(selectors, a.rank)
+    return AlternantTable(
+        algebra=a,
+        candidates=cands,
+        entries=_entries(a, selectors, levels, vrows, hrows),
+        coroots=hrows,
+        levels=levels,
     )
 
 
@@ -173,38 +329,16 @@ def build_table(a):
     expected = check_envelope(a)
     r = a.rank
     cands = tuple(orbit_drops(a, i) for i in range(r))
-    vrows, grows = _candidate_profiles(a, cands)
-
-    # pairwise compatibility: cross products must reproduce (l_i, l_j).
-    # Stored in both directions so the search loop stays branch-free.
+    vrows, grows, hrows = _candidate_profiles(a, cands)
+    diagonal, compat = _compatibility(a, vrows, grows)
     slots_sorted = sorted(range(r), key=lambda i: (len(cands[i]), i))
-    compat_dir = {}
-    for ai in range(r):
-        for bi in range(ai + 1, r):
-            target = a.gram_weight_scaled[ai][bi]
-            fwd = []
-            back = [set() for _ in vrows[bi]]
-            for x, gv in enumerate(grows[ai]):
-                ok = frozenset(
-                    y
-                    for y, v in enumerate(vrows[bi])
-                    if sum(p * q for p, q in zip(gv, v)) == target
-                )
-                fwd.append(ok)
-                for y in ok:
-                    back[y].add(x)
-            compat_dir[(ai, bi)] = fwd
-            compat_dir[(bi, ai)] = [frozenset(s) for s in back]
 
-    entries = []
+    selectors = []
     choice = [0] * r
 
     def descend(level, domains):
         if level == r:
-            selector = tuple(choice[i] + 1 for i in range(r))
-            rows = [vrows[i][choice[i]] for i in range(r)]
-            images = [grows[i][choice[i]] for i in range(r)]
-            entries.append(_entry_from_rows(a, selector, rows, images))
+            selectors.append(tuple([x + 1 for x in choice]))
             return
         slot = slots_sorted[level]
         rest = slots_sorted[level + 1 :]
@@ -213,7 +347,7 @@ def build_table(a):
             narrowed = {}
             dead = False
             for s in rest:
-                nd = domains[s] & compat_dir[(slot, s)][idx]
+                nd = domains[s] & compat[(slot, s)][idx]
                 if not nd:
                     dead = True
                     break
@@ -221,16 +355,15 @@ def build_table(a):
             if not dead:
                 descend(level + 1, narrowed)
 
-    initial = {s: frozenset(range(len(cands[s]))) for s in slots_sorted}
-    descend(0, initial)
+    descend(0, {s: diagonal[s] for s in slots_sorted})
 
-    if len(entries) != expected:
+    if len(selectors) != expected:
         raise IntegrityError(
-            f"table for {a.name} has {len(entries)} entries but |W| = {expected}; "
+            f"table for {a.name} has {len(selectors)} entries but |W| = {expected}; "
             "the quadratic conditions admit no repair, this is corruption"
         )
-    entries.sort(key=lambda e: e.selector)
-    return AlternantTable(algebra=a, candidates=cands, entries=tuple(entries))
+    selectors.sort()
+    return _assemble(a, cands, selectors, vrows, hrows)
 
 
 @lru_cache(maxsize=None)
@@ -243,17 +376,25 @@ def alternant(table, weight):
     """Reconstruct the alternant for a dominant integral weight.
 
     Exactly one monomial per entry; for strictly dominant rho + weight the
-    exponent rows are pairwise distinct, which is asserted.
+    exponent rows are pairwise distinct, which is asserted.  With v = rho +
+    weight, the row of an entry is v @ (I - H^T C) = v - sum_i (h_i . v) C[i]
+    (_entries), so each candidate's shift (h . v) C[i] is computed once per
+    call and the entries subtract theirs down the selector trie.  A weight
+    so large that an exponent coordinate could pass 2^63 - 1 in absolute
+    value is refused with EnvelopeError.
     """
     a = table.algebra
     m = _require_dominant_integral(a, weight)
-    vec = tuple(x + 1 for x in m)
-    terms = {}
-    for entry in table.entries:
-        e = linalg.vec_mat(vec, entry.monomial_map)
-        if e in terms:
-            raise IntegrityError("table produced a repeated exponent row")
-        terms[e] = entry.signature
+    vec = tuple([x + 1 for x in m])
+    dots = [[sum(map(mul, h, vec)) for h in hats] for hats in table.coroots]
+    bound = max(vec) + sum(
+        max(map(abs, ts)) * max(map(abs, crow)) for ts, crow in zip(dots, a.cartan)
+    )
+    shifts = [[t * row for t in ts] for ts, row in zip(dots, map(_pack, a.cartan))]
+    rows = _walk(table.levels, _pack(vec), shifts, a.rank, bound)
+    terms = dict(zip(rows, [e.signature for e in table.entries]))
+    if len(terms) != len(rows):
+        raise IntegrityError("table produced a repeated exponent row")
     return LaurentPoly._raw(a.rank, terms)
 
 
@@ -474,7 +615,8 @@ def load_table(path):
             f"table cache {path}: candidate lists disagree with the orbits of {a.name}"
         )
 
-    vrows, grows = _candidate_profiles(a, fresh)
+    vrows, grows, hrows = _candidate_profiles(a, fresh)
+    diagonal, compat = _compatibility(a, vrows, grows)
     raw_e = data.get("entries")
     if not isinstance(raw_e, list):
         raise TableCacheError(f"table cache {path}: entries missing")
@@ -483,7 +625,9 @@ def load_table(path):
         raise TableCacheError(
             f"table cache {path}: {len(raw_e)} entries, but |W({a.name})| = {expected}"
         )
-    entries = []
+    r = a.rank
+    selectors = []
+    signatures = []
     prev = None
     for rec in raw_e:
         try:
@@ -491,34 +635,34 @@ def load_table(path):
             signature = int(rec["signature"])
         except (TypeError, KeyError, ValueError) as exc:
             raise TableCacheError(f"table cache {path}: malformed entry {rec!r}") from exc
-        if len(selector) != a.rank or any(
+        if len(selector) != r or any(
             not 1 <= s <= len(fresh[i]) for i, s in enumerate(selector)
         ):
             raise TableCacheError(f"table cache {path}: selector {selector} out of range")
         if prev is not None and selector <= prev:
             raise TableCacheError(f"table cache {path}: entries not in canonical order")
         prev = selector
-        rows = [vrows[i][selector[i] - 1] for i in range(a.rank)]
-        images = [grows[i][selector[i] - 1] for i in range(a.rank)]
-        for i, gv in enumerate(images):
-            for j in range(i, a.rank):
-                got = sum(p * q for p, q in zip(gv, rows[j]))
-                if got != a.gram_weight_scaled[i][j]:
+        choice = [x - 1 for x in selector]
+        for i, x in enumerate(choice):
+            for j in range(i, r):
+                if not (x in diagonal[i] if j == i else choice[j] in compat[(i, j)][x]):
                     raise TableCacheError(
                         f"table cache {path}: entry {selector} violates the "
                         f"quadratic condition at slots ({i + 1}, {j + 1})"
                     )
-        try:
-            entry = _entry_from_rows(a, selector, rows, images)
-        except IntegrityError as exc:
-            raise TableCacheError(f"table cache {path}: {exc}") from exc
+        selectors.append(selector)
+        signatures.append(signature)
+    try:
+        table = _assemble(a, fresh, selectors, vrows, hrows)
+    except IntegrityError as exc:
+        raise TableCacheError(f"table cache {path}: {exc}") from exc
+    for entry, signature in zip(table.entries, signatures):
         if entry.signature != signature:
             raise TableCacheError(
-                f"table cache {path}: entry {selector} stores signature "
+                f"table cache {path}: entry {entry.selector} stores signature "
                 f"{signature} but the determinant is {entry.signature}"
             )
-        entries.append(entry)
-    return AlternantTable(algebra=a, candidates=fresh, entries=tuple(entries))
+    return table
 
 
 def load_or_build(a, cache_dir=None, write=True):

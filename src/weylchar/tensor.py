@@ -50,7 +50,8 @@ class Decomposition(Frozen):
 
 
 def _root_key(a, e):
-    n = linalg.vec_mat(e, a.cartan_inv)
+    # root coordinates times cartan_det > 0, which keeps their order
+    n = linalg.vec_mat(e, a.cartan_adjugate)
     return (sum(n), n)
 
 

@@ -66,36 +66,38 @@ class WeylGroup(Frozen):
         return len(self.elements)
 
 
-def _simple_reflection_matrix(a, i):
-    r = a.rank
-    row = a.cartan[i]
-    return tuple(
-        tuple((1 if j == k else 0) - (row[k] if j == i else 0) for k in range(r))
-        for j in range(r)
-    )
-
-
 def generate(a):
     """Enumerate the Weyl group by closing the simple reflections.
 
     Deterministic: the element list is sorted canonically.  Signs are tracked
     through the closure (each generator flips the determinant) and are
-    therefore exact.
+    therefore exact.  The simple reflection s_i is I - e_i cartan[i], so the
+    product M s_i changes only the rows j with M[j][i] != 0, each by
+    M[j][i] times the sparse row cartan[i]; no full matrix product is formed.
     """
     expected = check_envelope(a)
     r = a.rank
-    gens = [_simple_reflection_matrix(a, i) for i in range(r)]
+    sparse = [tuple((k, x) for k, x in enumerate(row) if x) for row in a.cartan]
+
+    def step(row, c, nonzero):
+        out = list(row)
+        for k, x in nonzero:
+            out[k] -= c * x
+        return tuple(out)
+
     ident = linalg.identity(r)
     signs = {ident: 1}
     frontier = [ident]
     while frontier:
         nxt = []
         for m in frontier:
-            s = signs[m]
-            for g in gens:
-                prod = linalg.mat_mul(m, g)
+            s = -signs[m]
+            for i, nonzero in enumerate(sparse):
+                prod = tuple(
+                    [row if not row[i] else step(row, row[i], nonzero) for row in m]
+                )
                 if prod not in signs:
-                    signs[prod] = -s
+                    signs[prod] = s
                     nxt.append(prod)
         frontier = nxt
         if len(signs) > expected:

@@ -69,6 +69,34 @@ def test_orbit_drops_are_positive_root_rows():
                 assert all(isinstance(x, int) and x >= 0 for x in d.coords)
 
 
+ORACLE_ALGEBRAS = [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5",
+    "G2", "F4",
+]
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS + ["E6"])
+def test_orbit_drops_match_root_coordinates_of_the_orbit(name):
+    """Oracle: root_coords of l_i - mu, in Fractions, over the weight orbit."""
+    a = algebra(name)
+    for i, lam in enumerate(a.fundamental_weights):
+        want = sorted(
+            (
+                root_coords(
+                    a,
+                    WeightVec.weight(
+                        tuple(x - y for x, y in zip(lam.coords, mu.coords))
+                    ),
+                )
+                for mu in orbit(a, lam)
+            ),
+            key=lambda n: (sum(n), n),
+        )
+        got = orbit_drops(a, i)
+        assert [d.coords for d in got] == want
+        assert all(type(x) is int for d in got for x in d.coords)
+
+
 def test_entry_count_statement():
     for name in ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]:
         a = algebra(name)
@@ -103,29 +131,42 @@ def test_quadratic_conditions_hold_on_every_entry():
                     )
 
 
-def test_a2_table_matches_group_enumeration(a2, a2_table):
+def _selectors_from_group(a, table):
     """Independent oracle: walk the Weyl group and read the drops off it."""
-    group = generate(a2)
+    group = generate(a)
     index = [
-        {drop.coords: k + 1 for k, drop in enumerate(a2_table.candidates[i])}
-        for i in range(a2.rank)
+        {drop.coords: k + 1 for k, drop in enumerate(table.candidates[i])}
+        for i in range(a.rank)
     ]
     expected = {}
     for mat, sign in zip(group.elements, group.signatures):
         selector = []
-        for i, fw in enumerate(a2.fundamental_weights):
+        for i, fw in enumerate(a.fundamental_weights):
             image = vec_mat(fw.coords, mat)
             drop = WeightVec.weight(
                 tuple(m - x for m, x in zip(fw.coords, image))
             )
-            selector.append(index[i][tuple(root_coords(a2, drop))])
+            selector.append(index[i][tuple(root_coords(a, drop))])
         expected[tuple(selector)] = sign
+    return expected
+
+
+def test_a2_table_matches_group_enumeration(a2, a2_table):
     got = {e.selector: e.signature for e in a2_table.entries}
-    assert got == expected
+    assert got == _selectors_from_group(a2, a2_table)
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "F4"])
+def test_table_matches_group_enumeration(name):
+    a = algebra(name)
+    table = build_table(a)
+    got = {e.selector: e.signature for e in table.entries}
+    assert got == _selectors_from_group(a, table)
 
 
 def test_monomial_map_inverts_the_entry_map():
-    """Oracle for the Gram-adjugate inverse: U @ monomial_map is the identity.
+    """Oracle for the entry maps U^-1 = I - H^T C: U @ monomial_map is the
+    identity, and on G2 and B3 monomial_map is U's Fraction inverse.
 
     Row i of U, in the weight basis, is l_i - g_i for the selected drop g_i.
     """
@@ -146,6 +187,31 @@ def test_monomial_map_inverts_the_entry_map():
             assert mat_mul(rows, entry.monomial_map) == ident
             if name in ("G2", "B3"):
                 assert entry.monomial_map == inverse_frac(rows)
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C3", "D4", "F4"])
+def test_alternant_applies_every_monomial_map(name):
+    """The trie walk in alternant() gives each entry the row
+    (rho + weight) @ monomial_map, with the entry's signature."""
+    a = algebra(name)
+    t = build_table(a)
+    for coords in [(0,) * a.rank, tuple(range(a.rank)), (3,) + (0,) * (a.rank - 1)]:
+        vec = tuple(x + 1 for x in coords)
+        want = {vec_mat(vec, e.monomial_map): e.signature for e in t.entries}
+        got = alternant(t, WeightVec.weight(coords))
+        assert got.terms == want
+        assert list(got.terms) == list(want)
+
+
+def test_alternant_near_the_64_bit_limit():
+    """Packed rows decode exactly for exponents past 2^59, and a weight whose
+    rows could pass 2^63 in absolute value is refused."""
+    for name, coords in [("A2", (2**59, 2**59)), ("B3", (2**58, 3, 2**58))]:
+        a = algebra(name)
+        w = WeightVec.weight(coords)
+        assert alternant(build_table(a), w) == alternant_direct(a, w)
+    with pytest.raises(EnvelopeError):
+        alternant(build_table(algebra("A2")), WeightVec.weight((2**60, 2**60)))
 
 
 def test_build_is_deterministic(g2):
@@ -349,6 +415,29 @@ def test_load_rejects_corruption(tmp_path, g2_table):
 
     with pytest.raises(TableCacheError, match="order"):
         load_table(_tampered(fresh(), reorder))
+
+
+def test_load_rejects_broken_quadratic_condition(tmp_path, g2_table):
+    """A selector moved to another in-range candidate, re-sorted and
+    re-checksummed, passes every check before the quadratic conditions."""
+    path = save_table(g2_table, cache_dir=str(tmp_path))
+    data = json.loads(open(path).read())
+    taken = {tuple(e["selector"]) for e in data["entries"]}
+    sizes = [len(slot) for slot in data["candidates"]]
+    entry = data["entries"][0]
+    moved = next(
+        [entry["selector"][0], y]
+        for y in range(1, sizes[1] + 1)
+        if (entry["selector"][0], y) not in taken
+    )
+    entry["selector"] = moved
+    data["entries"].sort(key=lambda e: e["selector"])
+    del data["checksum"]
+    data["checksum"] = tables._checksum(data)
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    with pytest.raises(TableCacheError, match="quadratic condition"):
+        load_table(path)
 
 
 def test_load_or_build_reuses_cache(tmp_path, g2, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from weylchar.algebra import WeightVec, build_algebra, weight_coords
 from weylchar.errors import EnvelopeError, InputError
+from weylchar.linalg import identity, mat_mul
 from weylchar.weylgroup import (
     ENVELOPE_MAX_ORDER,
     alternant_direct,
@@ -27,6 +28,42 @@ def test_group_orders_match_formula():
         g = generate(algebra(name))
         assert len(g.elements) == want
         assert len(g.signatures) == want
+
+
+def _closure_by_full_products(a):
+    """Reference closure: every product M s_i as a full matrix product."""
+    r = a.rank
+    gens = [
+        tuple(
+            tuple((1 if j == k else 0) - (a.cartan[i][k] if j == i else 0)
+                  for k in range(r))
+            for j in range(r)
+        )
+        for i in range(r)
+    ]
+    signs = {identity(r): 1}
+    frontier = [identity(r)]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = mat_mul(m, g)
+                if prod not in signs:
+                    signs[prod] = -signs[m]
+                    nxt.append(prod)
+        frontier = nxt
+    elements = tuple(sorted(signs))
+    return elements, tuple(signs[m] for m in elements)
+
+
+@pytest.mark.parametrize("name", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5",
+    "G2", "F4",
+])
+def test_generate_matches_full_product_closure(name):
+    a = algebra(name)
+    g = generate(a)
+    assert (g.elements, g.signatures) == _closure_by_full_products(a)
 
 
 def test_signatures_balance():
