@@ -1,4 +1,4 @@
-"""Measure the payoff of the cached-table route against direct summation.
+"""Measure the payoff of the table route against direct summation.
 
 Three routes build the same alternants for a fixed list of dominant weights:
 
@@ -6,29 +6,21 @@ Three routes build the same alternants for a fixed list of dominant weights:
   call, which is what a caller who keeps nothing between calls pays;
 * direct, W generated once: weylgroup.generate once, then
   alternant_direct(..., group=g) per weight;
-* cached table: load_table once (with its full revalidation), then alternant
-  per weight.
+* table: build_table once, then alternant per weight.
 
-Each route's time includes its one-off cost (group generation or table load)
-and is the best of REPEATS runs, so one slow spell of the host does not set
-the ratio.  Both ratios are against the cached table.  Usage:
+Each route's time includes its one-off cost (group generation or table
+build) and is the best of REPEATS runs, so one slow spell of the host does
+not set the ratio.  Both ratios are against the table route.  Usage:
 
     PYTHONPATH=src python3 scripts/benchmark_amortization.py [--count N] [--algebras G2 D4 ...]
 """
 
 import argparse
 import itertools
-import tempfile
 import time
 
 from weylchar.algebra import WeightVec, build_algebra, weyl_order
-from weylchar.tables import (
-    alternant,
-    build_table,
-    load_table,
-    save_table,
-    table_cache_path,
-)
+from weylchar.tables import alternant, build_table
 from weylchar.weylgroup import alternant_direct, generate
 
 DEFAULT = ["G2", "A3", "B3", "C3", "D4"]
@@ -67,36 +59,33 @@ def main():
     print(f"best of {REPEATS}, {args.count} alternants per route")
     print(
         f"{'algebra':>8} {'|W|':>6} {'regen W':>10} {'W once':>10} "
-        f"{'cached':>10} {'regen/cached':>13} {'once/cached':>12}"
+        f"{'build+alt':>10} {'regen/table':>12} {'once/table':>11}"
     )
-    with tempfile.TemporaryDirectory() as cache_dir:
-        for name in args.algebras:
-            a = build_algebra(name[0], int(name[1:]))
-            save_table(build_table(a), cache_dir=cache_dir)
-            path = table_cache_path(a, cache_dir)
-            weights = sample_weights(a.rank, args.count)
+    for name in args.algebras:
+        a = build_algebra(name[0], int(name[1:]))
+        weights = sample_weights(a.rank, args.count)
 
-            def cached():
-                table = load_table(path)
-                return [alternant(table, w) for w in weights]
+        def table_route():
+            table = build_table(a)
+            return [alternant(table, w) for w in weights]
 
-            def regenerated():
-                return [alternant_direct(a, w) for w in weights]
+        def regenerated():
+            return [alternant_direct(a, w) for w in weights]
 
-            def group_once():
-                group = generate(a)
-                return [alternant_direct(a, w, group=group) for w in weights]
+        def group_once():
+            group = generate(a)
+            return [alternant_direct(a, w, group=group) for w in weights]
 
-            cached_time, want = best_of(cached)
-            regen_time, got_regen = best_of(regenerated)
-            once_time, got_once = best_of(group_once)
-            assert got_regen == want and got_once == want
-            print(
-                f"{a.name:>8} {weyl_order(a.family, a.rank):>6} {regen_time:>9.3f}s "
-                f"{once_time:>9.3f}s {cached_time:>9.3f}s "
-                f"{regen_time / cached_time:>12.1f}x "
-                f"{once_time / cached_time:>11.2f}x"
-            )
+        table_time, want = best_of(table_route)
+        regen_time, got_regen = best_of(regenerated)
+        once_time, got_once = best_of(group_once)
+        assert got_regen == want and got_once == want
+        print(
+            f"{a.name:>8} {weyl_order(a.family, a.rank):>6} {regen_time:>9.3f}s "
+            f"{once_time:>9.3f}s {table_time:>9.3f}s "
+            f"{regen_time / table_time:>11.1f}x "
+            f"{once_time / table_time:>10.2f}x"
+        )
 
 
 if __name__ == "__main__":

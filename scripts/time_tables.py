@@ -1,13 +1,11 @@
-"""Time the per-algebra stages: orbit drops, table build and load, group
-generation, and one alternant by either route.
+"""Time the per-algebra stages: orbit drops, table build, group generation,
+and one alternant by either route.
 
 Each stage is run --repeat times per algebra and the best wall time is
 printed in milliseconds:
 
     drops       orbit_drops for every slot
     build       build_table
-    load        load_table of a table this script saved to a temporary
-                directory first, so it includes the full revalidation
     generate    weylgroup.generate
     alt table   one alternant from the table, averaged over --weights
                 dominant weights (the first ones of the graded box)
@@ -21,17 +19,10 @@ To compare two checkouts, run the script against each source tree:
 
 import argparse
 import itertools
-import tempfile
 import time
 
 from weylchar.algebra import WeightVec, parse_algebra
-from weylchar.tables import (
-    alternant,
-    build_table,
-    load_table,
-    orbit_drops,
-    save_table,
-)
+from weylchar.tables import alternant, build_table, orbit_drops
 from weylchar.weylgroup import alternant_direct, generate
 
 DEFAULT = ["D4", "B4", "F4", "D5"]
@@ -67,35 +58,31 @@ def main():
     args = parser.parse_args()
 
     print(
-        f"{'algebra':>8} {'|W|':>6} {'drops':>9} {'build':>9} {'load':>9} "
+        f"{'algebra':>8} {'|W|':>6} {'drops':>9} {'build':>9} "
         f"{'generate':>9} {'alt table':>10} {'alt W':>9}"
     )
-    with tempfile.TemporaryDirectory() as cache_dir:
-        for name in args.algebras:
-            a = parse_algebra(name)
-            table = build_table(a)
-            group = generate(a)
-            path = save_table(table, cache_dir=cache_dir)
-            weights = sample_weights(a.rank, args.weights)
-            n = len(weights)
-            drops = best_ms(
-                lambda: [orbit_drops(a, i) for i in range(a.rank)], args.repeat
-            )
-            build = best_ms(lambda: build_table(a), args.repeat)
-            load = best_ms(lambda: load_table(path), args.repeat)
-            gen = best_ms(lambda: generate(a), args.repeat)
-            alt_table = best_ms(
-                lambda: [alternant(table, w) for w in weights], args.repeat
-            ) / n
-            alt_w = best_ms(
-                lambda: [alternant_direct(a, w, group=group) for w in weights],
-                args.repeat,
-            ) / n
-            print(
-                f"{a.name:>8} {table.size:>6} {drops:>7.1f}ms {build:>7.1f}ms "
-                f"{load:>7.1f}ms {gen:>7.1f}ms {alt_table:>8.3f}ms "
-                f"{alt_w:>7.3f}ms"
-            )
+    for name in args.algebras:
+        a = parse_algebra(name)
+        table = build_table(a)
+        group = generate(a)
+        weights = sample_weights(a.rank, args.weights)
+        n = len(weights)
+        drops = best_ms(
+            lambda: [orbit_drops(a, i) for i in range(a.rank)], args.repeat
+        )
+        build = best_ms(lambda: build_table(a), args.repeat)
+        gen = best_ms(lambda: generate(a), args.repeat)
+        alt_table = best_ms(
+            lambda: [alternant(table, w) for w in weights], args.repeat
+        ) / n
+        alt_w = best_ms(
+            lambda: [alternant_direct(a, w, group=group) for w in weights],
+            args.repeat,
+        ) / n
+        print(
+            f"{a.name:>8} {table.size:>6} {drops:>7.1f}ms {build:>7.1f}ms "
+            f"{gen:>7.1f}ms {alt_table:>8.3f}ms {alt_w:>7.3f}ms"
+        )
 
 
 if __name__ == "__main__":

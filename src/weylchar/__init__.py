@@ -32,7 +32,6 @@ from .errors import (
     InputError,
     IntegrityError,
     NotDivisibleError,
-    TableCacheError,
     WeylcharError,
 )
 from .laurent import LaurentPoly, exact_div
@@ -43,9 +42,7 @@ from .tables import (
     check_signatures_by_expansion,
     entry_exponents,
     exponent_forms,
-    load_table,
     orbit_drops,
-    save_table,
 )
 from .tensor import Decomposition, tensor_decompose
 from .weylgroup import (
@@ -68,7 +65,6 @@ __all__ = [
     "IntegrityError",
     "LaurentPoly",
     "NotDivisibleError",
-    "TableCacheError",
     "WeightVec",
     "WeylGroup",
     "WeylcharError",
@@ -86,14 +82,12 @@ __all__ = [
     "freudenthal_multiplicities",
     "generate",
     "is_dominant",
-    "load_table",
     "multiplicities",
     "orbit",
     "orbit_drops",
     "parse_algebra",
     "present_alpha_basis",
     "reflect",
-    "save_table",
     "tensor_decompose",
     "to_basis",
     "weyl_dimension",

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Commands: character, gamma, tensor, verify, dimension.  Exit codes: 0 on
-success, 2 for bad input, 3 for integrity failures (including corrupted
-table caches and failed verification), 4 when the request exceeds the
-supported size envelope.
+success, 2 for bad input, 3 for integrity failures (including failed
+verification), 4 when the request exceeds the supported size envelope.
+Tables are built in memory, once per process; nothing is read from or
+written to disk.
 
 JSON output is canonical: keys sorted, monomial lists ascending by total
 degree then lexicographically, so identical invocations are byte-identical.
@@ -48,17 +49,10 @@ def _sorted_monomials(poly):
     return sorted(poly.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
 
-def _get_table(a, args):
-    return tables.load_or_build(a, cache_dir=args.cache_dir)
-
-
 def _cmd_character(args):
     a = parse_algebra(args.algebra)
     m = _parse_weight(a, args.weight)
-    if args.method == "gamma":
-        result = character(a, m, method="gamma", table=_get_table(a, args))
-    else:
-        result = character(a, m, method="weyl")
+    result = character(a, m, method=args.method)
     if args.format == "json":
         _emit_json(
             {
@@ -89,7 +83,7 @@ def _cmd_character(args):
 
 def _cmd_gamma(args):
     a = parse_algebra(args.algebra)
-    table = _get_table(a, args)
+    table = tables.shared_table(a)
     if args.format == "json":
         _emit_json(
             {
@@ -123,8 +117,7 @@ def _cmd_tensor(args):
     a = parse_algebra(args.algebra)
     lm = _parse_weight(a, args.left, what="--left")
     rm = _parse_weight(a, args.right, what="--right")
-    table = _get_table(a, args) if args.method == "gamma" else None
-    dec = tensor_decompose(a, lm, rm, method=args.method, table=table)
+    dec = tensor_decompose(a, lm, rm, method=args.method)
     dims = {
         w: weyl_dimension(a, WeightVec.weight(w)) for w, _ in dec.summands
     }
@@ -253,7 +246,7 @@ def _cmd_verify(args):
     a = parse_algebra(args.algebra)
     if args.depth < 0:
         raise InputError(f"--depth must be non-negative, got {args.depth}")
-    table = _get_table(a, args)
+    table = tables.shared_table(a)
     checks = [
         {"name": name, "passed": passed, "detail": detail}
         for name, passed, detail in _verify_checks(a, table, args.depth)
@@ -282,7 +275,8 @@ def _build_parser():
         prog="weylchar",
         description=(
             "Exact characters of irreducible representations of the simple "
-            "Lie algebras, via cached alternant-reconstruction tables."
+            "Lie algebras, via alternant-reconstruction tables built once "
+            "per algebra."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -295,8 +289,8 @@ def _build_parser():
         p.add_argument(
             "--cache-dir",
             default=None,
-            help=f"table cache directory (default: ${tables.CACHE_DIR_ENV} "
-            "or ~/.cache/weylchar)",
+            help="ignored; accepted for compatibility (tables are built in "
+            "memory and never written to disk)",
         )
         if method:
             p.add_argument(

@@ -19,7 +19,3 @@ class NotDivisibleError(IntegrityError):
 
 class EnvelopeError(WeylcharError):
     """The requested computation exceeds the supported size envelope."""
-
-
-class TableCacheError(IntegrityError):
-    """A cached table file is unreadable, stale, or fails validation."""

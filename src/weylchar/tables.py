@@ -14,8 +14,7 @@ group when reconstructing:
 * A table entry selects one candidate per slot such that all cross products
   match: (l_i - g_i, l_j - g_j) = (l_i, l_j).  The selections are found by
   backtracking over slots ordered by ascending candidate count, pruning with
-  precomputed pairwise compatibility sets; a load checks stored selections
-  against the same sets.
+  precomputed pairwise compatibility sets.
 * Each entry determines a linear map U on weight space by U(l_i) = l_i - g_i.
   U is orthogonal with determinant +-1; the determinant is the entry's
   signature, and the entry's monomial for a dominant weight L is
@@ -24,39 +23,28 @@ group when reconstructing:
   throughout, no division and no inverse (see _entries).
 
 The number of entries must equal the Weyl group order exactly; any excess or
-deficit is reported as corruption rather than repaired.  Tables serialize to
-a compact, checksummed JSON file.  Loading one revalidates every entry, so a
-load costs about as much as a build (scripts/time_tables.py).
+deficit is reported as corruption rather than repaired.  Tables live in
+memory only: shared_table builds each algebra's table once per process,
+which takes milliseconds up to rank 5 (scripts/time_tables.py).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import struct
-import tempfile
 from functools import lru_cache
 from itertools import repeat
 from operator import mul, xor
 
 from . import linalg
-from .algebra import (
-    WeightVec,
-    _require_dominant_integral,
-    build_algebra,
-    weyl_order,
-)
-from .errors import EnvelopeError, InputError, IntegrityError, TableCacheError
+from .algebra import WeightVec, _require_dominant_integral
+from .errors import EnvelopeError, InputError, IntegrityError
 from .frozen import Frozen
 from .laurent import LaurentPoly
 from .weylgroup import check_envelope
 
-FORMAT_VERSION = 1
 _DIGIT = 64             # bits per coordinate in the packed rows of the trie walk
 _HALF = 1 << (_DIGIT - 1)
 EXPANSION_MAX_ROOTS = 12
-CACHE_DIR_ENV = "WEYLCHAR_CACHE_DIR"
 
 
 def orbit_drops(a, i):
@@ -181,8 +169,7 @@ def _compatibility(a, vrows, grows):
     indices x of slot i with (l_i - g_x, l_i - g_x) = (l_i, l_i).  For i != j,
     compat[(i, j)][x] is the frozenset of indices y of slot j with
     (l_i - g_x, l_j - g_y) = (l_i, l_j); both directions are stored.
-    Indices are zero-based.  build_table searches these sets and load_table
-    checks stored selectors against them.
+    Indices are zero-based.  build_table searches these sets.
     """
     r = a.rank
     s = a.gram_weight_scaled
@@ -272,8 +259,8 @@ def _entries(a, selectors, levels, vrows, hrows):
     """The table entries of the given sorted selectors.
 
     The entry map U has the rows l_i - g_i.  The quadratic conditions make
-    it orthogonal; build_table's search and load_table's revalidation both
-    establish them before calling here.  Then row j of U^-1 is l_j minus
+    it orthogonal; build_table's search establishes them before calling
+    here.  Then row j of U^-1 is l_j minus
     sum_i ((l_j, g_i) / d_i) a_i, that is U^-1 = I - H^T C, with H the
     matrix of the coroot rows h_i of the selected candidates and C the
     Cartan matrix.  H^T C is the sum over slots of the outer products
@@ -306,17 +293,6 @@ def _entries(a, selectors, levels, vrows, hrows):
             )
         )
     return tuple(entries)
-
-
-def _assemble(a, cands, selectors, vrows, hrows):
-    levels = _selector_trie(selectors, a.rank)
-    return AlternantTable(
-        algebra=a,
-        candidates=cands,
-        entries=_entries(a, selectors, levels, vrows, hrows),
-        coroots=hrows,
-        levels=levels,
-    )
 
 
 def build_table(a):
@@ -363,12 +339,23 @@ def build_table(a):
             "the quadratic conditions admit no repair, this is corruption"
         )
     selectors.sort()
-    return _assemble(a, cands, selectors, vrows, hrows)
+    levels = _selector_trie(selectors, r)
+    return AlternantTable(
+        algebra=a,
+        candidates=cands,
+        entries=_entries(a, selectors, levels, vrows, hrows),
+        coroots=hrows,
+        levels=levels,
+    )
 
 
 @lru_cache(maxsize=None)
 def shared_table(a):
-    """Process-wide table per algebra (no disk involved)."""
+    """The table of a, built on first use and kept for the process.
+
+    Every caller that does not pass its own table reads this one, so a
+    process builds each algebra's table at most once.
+    """
     return build_table(a)
 
 
@@ -499,183 +486,3 @@ def check_signatures_by_expansion(table):
         f"disagree first at exponent row {first} "
         f"(expansion {prod.coeff(first)}, table {reference.coeff(first)})"
     )
-
-
-# ---------------------------------------------------------------------------
-# disk cache
-
-def default_cache_dir():
-    env = os.environ.get(CACHE_DIR_ENV)
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "weylchar")
-
-
-def table_cache_path(a, cache_dir=None):
-    base = cache_dir if cache_dir is not None else default_cache_dir()
-    return os.path.join(base, f"{a.name.lower()}.v{FORMAT_VERSION}.json")
-
-
-def _payload(table):
-    a = table.algebra
-    return {
-        "format_version": FORMAT_VERSION,
-        "family": a.family,
-        "rank": a.rank,
-        "cartan": [list(row) for row in a.cartan],
-        "candidates": [
-            [list(g.coords) for g in slot] for slot in table.candidates
-        ],
-        "entries": [
-            {"selector": list(e.selector), "signature": e.signature}
-            for e in table.entries
-        ],
-    }
-
-
-def _checksum(payload):
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()
-
-
-def save_table(table, path=None, cache_dir=None):
-    """Serialize a table, atomically (write to temp file, then rename)."""
-    if path is None:
-        path = table_cache_path(table.algebra, cache_dir)
-    payload = _payload(table)
-    payload["checksum"] = _checksum(payload)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    # compact separators keep json on its C encoder; indent would not
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=".json"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(blob)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-def load_table(path):
-    """Load a serialized table, re-validating every invariant.
-
-    Checks, in order: JSON shape, format version, checksum, algebra identity,
-    candidate lists against freshly recomputed orbits, the full quadratic
-    conditions and determinant signature of every entry, and the entry count
-    against the classical group order.  Any failure raises TableCacheError.
-    """
-    try:
-        with open(path, "r") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise TableCacheError(f"cannot read table cache {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise TableCacheError(f"table cache {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise TableCacheError(f"table cache {path} has the wrong shape")
-
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise TableCacheError(
-            f"table cache {path} has format version {version!r}, "
-            f"this build reads {FORMAT_VERSION}"
-        )
-    stored_sum = data.get("checksum")
-    payload = {k: v for k, v in data.items() if k != "checksum"}
-    if stored_sum != _checksum(payload):
-        raise TableCacheError(f"table cache {path} fails its checksum")
-
-    try:
-        a = build_algebra(data["family"], data["rank"])
-    except (KeyError, InputError) as exc:
-        raise TableCacheError(f"table cache {path} names no valid algebra: {exc}") from exc
-    if [list(row) for row in a.cartan] != data.get("cartan"):
-        raise TableCacheError(
-            f"table cache {path} carries a Cartan matrix that does not match {a.name}"
-        )
-
-    raw_c = data.get("candidates")
-    fresh = tuple(orbit_drops(a, i) for i in range(a.rank))
-    if (
-        not isinstance(raw_c, list)
-        or len(raw_c) != a.rank
-        or [
-            [list(g.coords) for g in slot] for slot in fresh
-        ] != raw_c
-    ):
-        raise TableCacheError(
-            f"table cache {path}: candidate lists disagree with the orbits of {a.name}"
-        )
-
-    vrows, grows, hrows = _candidate_profiles(a, fresh)
-    diagonal, compat = _compatibility(a, vrows, grows)
-    raw_e = data.get("entries")
-    if not isinstance(raw_e, list):
-        raise TableCacheError(f"table cache {path}: entries missing")
-    expected = weyl_order(a.family, a.rank)
-    if len(raw_e) != expected:
-        raise TableCacheError(
-            f"table cache {path}: {len(raw_e)} entries, but |W({a.name})| = {expected}"
-        )
-    r = a.rank
-    selectors = []
-    signatures = []
-    prev = None
-    for rec in raw_e:
-        try:
-            selector = tuple(int(x) for x in rec["selector"])
-            signature = int(rec["signature"])
-        except (TypeError, KeyError, ValueError) as exc:
-            raise TableCacheError(f"table cache {path}: malformed entry {rec!r}") from exc
-        if len(selector) != r or any(
-            not 1 <= s <= len(fresh[i]) for i, s in enumerate(selector)
-        ):
-            raise TableCacheError(f"table cache {path}: selector {selector} out of range")
-        if prev is not None and selector <= prev:
-            raise TableCacheError(f"table cache {path}: entries not in canonical order")
-        prev = selector
-        choice = [x - 1 for x in selector]
-        for i, x in enumerate(choice):
-            for j in range(i, r):
-                if not (x in diagonal[i] if j == i else choice[j] in compat[(i, j)][x]):
-                    raise TableCacheError(
-                        f"table cache {path}: entry {selector} violates the "
-                        f"quadratic condition at slots ({i + 1}, {j + 1})"
-                    )
-        selectors.append(selector)
-        signatures.append(signature)
-    try:
-        table = _assemble(a, fresh, selectors, vrows, hrows)
-    except IntegrityError as exc:
-        raise TableCacheError(f"table cache {path}: {exc}") from exc
-    for entry, signature in zip(table.entries, signatures):
-        if entry.signature != signature:
-            raise TableCacheError(
-                f"table cache {path}: entry {entry.selector} stores signature "
-                f"{signature} but the determinant is {entry.signature}"
-            )
-    return table
-
-
-def load_or_build(a, cache_dir=None, write=True):
-    """Load the cached table for a, building and caching it when absent."""
-    path = table_cache_path(a, cache_dir)
-    if os.path.exists(path):
-        table = load_table(path)
-        if table.algebra is not a:
-            raise TableCacheError(
-                f"table cache {path} is for {table.algebra.name}, not {a.name}"
-            )
-        return table
-    table = build_table(a)
-    if write:
-        save_table(table, path)
-    return table

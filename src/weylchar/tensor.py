@@ -55,14 +55,14 @@ def _root_key(a, e):
     return (sum(n), n)
 
 
-def tensor_decompose(a, left, right, method="gamma", table=None):
+def tensor_decompose(a, left, right, method="gamma"):
     """Decompose the tensor product of two irreducible modules.
 
     left and right are highest weights (WeightVec or coordinate rows).
     Summands come out in peel order: descending graded-lex on root-basis
-    coordinates, a linear extension of dominance.  table, when given, is
-    passed on to every character computation; with method "weyl" the Weyl
-    group is generated once here and passed on the same way.
+    coordinates, a linear extension of dominance.  Method "gamma" reads the
+    process-wide table; with method "weyl" the Weyl group is generated once
+    here and passed on to every character computation.
     """
     if not isinstance(left, WeightVec):
         left = WeightVec.weight(tuple(left))
@@ -75,7 +75,7 @@ def tensor_decompose(a, left, right, method="gamma", table=None):
 
     @cache  # left, right and the peeled tops may coincide
     def char(m):
-        return character(a, m, method, table=table, group=group).poly
+        return character(a, m, method, group=group).poly
 
     product = char(lm) * char(rm)
     remainder = dict(product.terms)

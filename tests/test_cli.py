@@ -1,7 +1,6 @@
-"""Command-line interface: subcommands, formats, exit codes, cache reuse."""
+"""Command-line interface: subcommands, formats, exit codes, the ignored --cache-dir."""
 
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -9,13 +8,12 @@ import sys
 import pytest
 
 import golden_g2
-from weylchar import characters, tables
+from weylchar import characters, tables, weylgroup
+from weylchar.algebra import build_algebra
+from weylchar.characters import character
 from weylchar.cli import main
-
-
-@pytest.fixture()
-def cache(tmp_path):
-    return str(tmp_path / "cache")
+from weylchar.errors import NotDivisibleError
+from weylchar.laurent import LaurentPoly
 
 
 def run(capsys, *argv):
@@ -24,10 +22,9 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_character_text(capsys, cache):
+def test_character_text(capsys):
     code, out, err = run(
         capsys, "character", "--algebra", "G2", "--weight", "0,1",
-        "--cache-dir", cache,
     )
     assert code == 0 and err == ""
     assert "dimension: 7" in out
@@ -35,10 +32,10 @@ def test_character_text(capsys, cache):
     assert "[0, 0]  1" in out
 
 
-def test_character_json(capsys, cache):
+def test_character_json(capsys):
     code, out, _ = run(
         capsys, "character", "--algebra", "A1", "--weight", "3",
-        "--format", "json", "--cache-dir", cache,
+        "--format", "json",
     )
     assert code == 0
     data = json.loads(out)
@@ -48,18 +45,18 @@ def test_character_json(capsys, cache):
     assert exps == sorted(exps, key=lambda e: (sum(e), e))
 
 
-def test_character_weyl_method(capsys, cache):
+def test_character_weyl_method(capsys):
     code, out, _ = run(
         capsys, "character", "--algebra", "A2", "--weight", "1,1",
-        "--method", "weyl", "--cache-dir", cache,
+        "--method", "weyl",
     )
     assert code == 0
     assert "method: weyl" in out
     assert "dimension: 8" in out
 
 
-def test_gamma_text_matches_golden(capsys, cache):
-    code, out, _ = run(capsys, "gamma", "--algebra", "G2", "--cache-dir", cache)
+def test_gamma_text_matches_golden(capsys):
+    code, out, _ = run(capsys, "gamma", "--algebra", "G2")
     assert code == 0
     assert "entries: 12 (= |W|)" in out
     for k, drop in enumerate(golden_g2.CANDIDATES_SLOT1, start=1):
@@ -68,10 +65,9 @@ def test_gamma_text_matches_golden(capsys, cache):
         assert f"{list(selector)}  {'+1' if sign > 0 else '-1'}" in out
 
 
-def test_gamma_json(capsys, cache):
+def test_gamma_json(capsys):
     code, out, _ = run(
         capsys, "gamma", "--algebra", "G2", "--format", "json",
-        "--cache-dir", cache,
     )
     assert code == 0
     data = json.loads(out)
@@ -81,20 +77,20 @@ def test_gamma_json(capsys, cache):
     assert got == golden_g2.ENTRIES
 
 
-def test_tensor_text(capsys, cache):
+def test_tensor_text(capsys):
     code, out, _ = run(
         capsys, "tensor", "--algebra", "G2", "--left", "1,0",
-        "--right", "1,1", "--cache-dir", cache,
+        "--right", "1,1",
     )
     assert code == 0
     assert "2 x [1, 1]  dim 64" in out
     assert "dimension check: 14 * 64 = 896" in out
 
 
-def test_tensor_json(capsys, cache):
+def test_tensor_json(capsys):
     code, out, _ = run(
         capsys, "tensor", "--algebra", "G2", "--left", "1,0",
-        "--right", "1,1", "--format", "json", "--cache-dir", cache,
+        "--right", "1,1", "--format", "json",
     )
     assert code == 0
     data = json.loads(out)
@@ -103,7 +99,7 @@ def test_tensor_json(capsys, cache):
     assert data["dimension_check"]["product"] == data["dimension_check"]["sum"]
 
 
-def test_tensor_builds_or_loads_one_table(capsys, cache, monkeypatch):
+def test_tensor_builds_one_table(capsys, monkeypatch):
     builds = []
     real_build = tables.build_table
 
@@ -112,43 +108,37 @@ def test_tensor_builds_or_loads_one_table(capsys, cache, monkeypatch):
         return real_build(a)
 
     monkeypatch.setattr(tables, "build_table", counting_build)
-
-    def fresh_process_request():
+    for n in (1, 2):
+        # what a fresh process starts without
         tables.shared_table.cache_clear()
         characters._character_cached.cache_clear()
-        return run(
+        code, _, _ = run(
             capsys, "tensor", "--algebra", "G2", "--left", "1,0",
-            "--right", "1,1", "--cache-dir", cache,
-        )[0]
-
-    assert fresh_process_request() == 0
-    assert builds == ["G2"]  # empty cache: one build, saved
-    assert fresh_process_request() == 0
-    assert builds == ["G2"]  # filled cache: loaded, no build
+            "--right", "1,1",
+        )
+        assert code == 0
+        assert builds == ["G2"] * n  # one build per request
 
 
-def test_dimension(capsys, cache):
+def test_dimension(capsys):
     code, out, _ = run(
         capsys, "dimension", "--algebra", "F4", "--weight", "0,0,0,1",
-        "--cache-dir", cache,
     )
     assert code == 0
     assert "dimension: 26" in out
 
 
-def test_verify_passes(capsys, cache):
+def test_verify_passes(capsys):
     code, out, _ = run(
         capsys, "verify", "--algebra", "B2", "--depth", "2",
-        "--cache-dir", cache,
     )
     assert code == 0
     assert "result: all checks passed" in out
 
 
-def test_verify_json(capsys, cache):
+def test_verify_json(capsys):
     code, out, _ = run(
         capsys, "verify", "--algebra", "A2", "--format", "json",
-        "--cache-dir", cache,
     )
     assert code == 0
     data = json.loads(out)
@@ -161,18 +151,21 @@ def test_verify_json(capsys, cache):
     assert all(c["passed"] for c in data["checks"])
 
 
-def test_verify_rejects_negative_depth(capsys, cache):
+def test_verify_rejects_negative_depth(capsys, monkeypatch):
+    def no_table(a):
+        raise AssertionError("refused before any table is touched")
+
+    monkeypatch.setattr(tables, "shared_table", no_table)
     for fmt in ("text", "json"):
         code, out, err = run(
             capsys, "verify", "--algebra", "B2", "--depth", "-1",
-            "--format", fmt, "--cache-dir", cache,
+            "--format", fmt,
         )
         assert code == 2
         assert err.startswith("error:") and "--depth" in err and out == ""
-    assert not os.path.exists(cache)  # refused before any table is touched
 
 
-def test_exit_code_2_on_bad_input(capsys, cache):
+def test_exit_code_2_on_bad_input(capsys):
     for argv in [
         ["character", "--algebra", "Q9", "--weight", "1"],
         ["character", "--algebra", "G2", "--weight", "1"],
@@ -180,84 +173,98 @@ def test_exit_code_2_on_bad_input(capsys, cache):
         ["character", "--algebra", "G2", "--weight=-1,0"],
         ["dimension", "--algebra", "D3", "--weight", "1,1,1"],
     ]:
-        code, out, err = run(capsys, *argv, "--cache-dir", cache)
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error:") and out == ""
 
 
-def test_exit_code_4_on_envelope(capsys, cache):
+def test_exit_code_4_on_envelope(capsys):
     for name in ["E7", "E8", "B7"]:
-        code, _, err = run(
-            capsys, "gamma", "--algebra", name, "--cache-dir", cache
-        )
+        code, _, err = run(capsys, "gamma", "--algebra", name)
         assert code == 4
         assert "envelope" in err
 
 
-def test_exit_code_3_on_tampered_cache(capsys, cache):
-    code, _, _ = run(capsys, "gamma", "--algebra", "A2", "--cache-dir", cache)
-    assert code == 0
-    path = os.path.join(cache, "a2.v1.json")
-    data = json.loads(open(path).read())
-    data["entries"][0]["signature"] *= -1
-    other = {k: v for k, v in data.items() if k != "checksum"}
-    data["checksum"] = tables._checksum(other)
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-    code, _, err = run(capsys, "gamma", "--algebra", "A2", "--cache-dir", cache)
+def test_exit_code_3_on_failed_verification(capsys, monkeypatch):
+    real = weylgroup.alternant_direct
+
+    def perturbed(a, weight, group=None):
+        return real(a, weight, group=group) + LaurentPoly.one(a.rank)
+
+    monkeypatch.setattr(weylgroup, "alternant_direct", perturbed)
+    code, out, err = run(capsys, "verify", "--algebra", "A2")
+    assert code == 3 and err == ""
+    failed = [line for line in out.splitlines() if line.startswith("  FAIL ")]
+    assert failed == ["  FAIL alternant-routes-agree: first mismatch at [0, 0]"]
+    assert out.endswith("result: FAILED\n")
+
+
+def test_exit_code_3_on_indivisible_numerator(capsys, monkeypatch):
+    real = tables.alternant
+
+    def one_coefficient_changed(table, weight):
+        num = real(table, weight)
+        terms = dict(num.terms)
+        top = max(terms)
+        terms[top] += 1
+        return LaurentPoly(num.rank, terms)
+
+    monkeypatch.setattr(tables, "alternant", one_coefficient_changed)
+    characters._character_cached.cache_clear()
+    with pytest.raises(NotDivisibleError):
+        character(build_algebra("G", 2), (1, 0))
+    code, out, err = run(capsys, "character", "--algebra", "G2", "--weight", "1,0")
     assert code == 3
-    assert "signature" in err
+    assert err.startswith("error:") and out == ""
 
 
-def test_cache_file_created_and_reused(capsys, cache):
-    run(capsys, "gamma", "--algebra", "G2", "--cache-dir", cache)
-    path = os.path.join(cache, "g2.v1.json")
-    assert os.path.exists(path)
-    before = open(path, "rb").read()
-    code, _, _ = run(
-        capsys, "character", "--algebra", "G2", "--weight", "1,0",
-        "--cache-dir", cache,
-    )
-    assert code == 0
-    assert open(path, "rb").read() == before
+@pytest.mark.parametrize("argv", [
+    ["character", "--algebra", "G2", "--weight", "1,0"],
+    ["character", "--algebra", "G2", "--weight", "1,0", "--method", "weyl"],
+    ["gamma", "--algebra", "A2"],
+    ["tensor", "--algebra", "G2", "--left", "1,0", "--right", "0,1"],
+    ["verify", "--algebra", "A2"],
+    ["dimension", "--algebra", "B3", "--weight", "1,0,1"],
+], ids=["character", "character-weyl", "gamma", "tensor", "verify", "dimension"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cache_dir_flag_and_env_are_ignored(capsys, monkeypatch, tmp_path, argv, fmt):
+    argv = argv + ["--format", fmt]
+    cache = tmp_path / "cache"
+    plain = run(capsys, *argv)
+    assert plain[0] == 0
+    assert run(capsys, *argv, "--cache-dir", str(cache)) == plain
+    monkeypatch.setenv("WEYLCHAR_CACHE_DIR", str(cache))
+    assert run(capsys, *argv) == plain
+    assert not cache.exists()
 
 
-def test_cache_dir_env_honored(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
-    code, _, _ = run(capsys, "gamma", "--algebra", "A2")
-    assert code == 0
-    assert os.path.exists(tmp_path / "a2.v1.json")
-
-
-def test_json_output_deterministic(capsys, cache):
+def test_json_output_deterministic(capsys):
     argv = [
         "character", "--algebra", "B2", "--weight", "1,1",
-        "--format", "json", "--cache-dir", cache,
+        "--format", "json",
     ]
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
 
 
-def test_console_script_entry_point(tmp_path):
+def test_console_script_entry_point():
     exe = shutil.which("weylchar")
     if exe is None:
         pytest.skip("console script not on PATH")
-    env = dict(os.environ, WEYLCHAR_CACHE_DIR=str(tmp_path))
     proc = subprocess.run(
         [exe, "dimension", "--algebra", "A1", "--weight", "1"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert "dimension: 2" in proc.stdout
 
 
-def test_module_entry_point(tmp_path):
-    env = dict(os.environ, WEYLCHAR_CACHE_DIR=str(tmp_path))
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "weylchar", "dimension", "--algebra", "A1",
          "--weight", "2"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert "dimension: 3" in proc.stdout

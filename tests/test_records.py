@@ -30,7 +30,7 @@ def records():
             "WeylGroup": generate(g2),
             # explicit tables skip the per-process character cache
             "CharacterResult": character(g2, (1, 0), table=table),
-            "Decomposition": tensor_decompose(g2, (1, 0), (0, 1), table=table),
+            "Decomposition": tensor_decompose(g2, (1, 0), (0, 1)),
         }
 
     return make(), make()
@@ -112,7 +112,8 @@ def test_reprs(records):
     )
 
 
-def test_cli_import_leaves_out_heavy_modules():
+def loaded_by_cli_import(*modules):
+    """Which of modules a fresh interpreter holds after `import weylchar.cli`."""
     src = os.path.dirname(os.path.dirname(weylchar.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -120,11 +121,19 @@ def test_cli_import_leaves_out_heavy_modules():
     )
     probe = (
         "import sys, weylchar.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect') "
-        "if m in sys.modules))"
+        f"print(' '.join(m for m in {modules!r} if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
         check=True,
     )
-    assert proc.stdout.strip() == ""
+    return proc.stdout.split()
+
+
+def test_cli_import_leaves_out_heavy_modules():
+    assert loaded_by_cli_import("dataclasses", "inspect") == []
+
+
+def test_cli_import_leaves_out_hashlib():
+    """No table is hashed or cached on disk, so OpenSSL is never loaded."""
+    assert loaded_by_cli_import("hashlib") == []

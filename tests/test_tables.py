@@ -1,13 +1,10 @@
-"""Gamma tables: assembly, golden data, symbolic forms, and the disk cache."""
+"""Gamma tables: assembly, golden data, symbolic forms, and the envelope."""
 
-import json
-import os
 from fractions import Fraction
 
 import pytest
 
 import golden_g2
-from weylchar import tables
 from weylchar.algebra import (
     WeightVec,
     bilinear,
@@ -17,20 +14,15 @@ from weylchar.algebra import (
     weight_coords,
     weyl_order,
 )
-from weylchar.errors import EnvelopeError, InputError, TableCacheError
+from weylchar.errors import EnvelopeError, InputError
 from weylchar.linalg import identity, inverse_frac, mat_mul, vec_mat
 from weylchar.tables import (
     alternant,
     build_table,
     check_signatures_by_expansion,
-    default_cache_dir,
     entry_exponents,
     exponent_forms,
-    load_or_build,
-    load_table,
     orbit_drops,
-    save_table,
-    table_cache_path,
 )
 from weylchar.weylgroup import alternant_direct, generate
 
@@ -296,174 +288,3 @@ def test_build_table_envelope():
         build_table(build_algebra("E", 7))
     with pytest.raises(EnvelopeError):
         build_table(build_algebra("E", 8))
-
-
-# ---------------------------------------------------------------------------
-# disk cache
-
-
-def test_save_load_round_trip(tmp_path, g2_table):
-    path = save_table(g2_table, cache_dir=str(tmp_path))
-    assert path == table_cache_path(g2_table.algebra, str(tmp_path))
-    assert os.path.basename(path) == "g2.v1.json"
-    loaded = load_table(path)
-    assert loaded.algebra is g2_table.algebra
-    assert loaded.candidates == g2_table.candidates
-    assert [(e.selector, e.signature, e.monomial_map) for e in loaded.entries] \
-        == [(e.selector, e.signature, e.monomial_map) for e in g2_table.entries]
-    assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
-
-
-def test_cache_payload_fields(tmp_path, g2_table):
-    path = save_table(g2_table, cache_dir=str(tmp_path))
-    data = json.loads(open(path).read())
-    assert data["format_version"] == tables.FORMAT_VERSION
-    assert data["family"] == "G" and data["rank"] == 2
-    assert data["cartan"] == [[2, -3], [-1, 2]]
-    assert len(data["candidates"]) == 2
-    assert len(data["entries"]) == 12
-    assert len(data["checksum"]) == 64
-
-
-def test_cache_file_is_compact(tmp_path, g2_table):
-    path = save_table(g2_table, cache_dir=str(tmp_path))
-    text = open(path).read()
-    assert text.endswith("}\n") and text.count("\n") == 1
-    assert ", " not in text and ": " not in text
-
-
-@pytest.mark.parametrize("name", ["G2", "B3"])
-def test_indented_cache_still_loads(tmp_path, name):
-    """A cache written with indent=1, as earlier versions did, loads unchanged."""
-    table = build_table(algebra(name))
-    payload = tables._payload(table)
-    payload["checksum"] = tables._checksum(payload)
-    path = table_cache_path(table.algebra, str(tmp_path))
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=1))
-        fh.write("\n")
-    loaded = load_table(path)
-    assert loaded.algebra is table.algebra
-    assert loaded.candidates == table.candidates
-    assert [(e.selector, e.signature, e.monomial_map) for e in loaded.entries] \
-        == [(e.selector, e.signature, e.monomial_map) for e in table.entries]
-    # the compact file carries the same payload and checksum
-    compact = save_table(table, cache_dir=str(tmp_path / "compact"))
-    assert json.loads(open(compact).read()) == json.loads(open(path).read())
-
-
-def _tampered(path, mutate):
-    data = json.loads(open(path).read())
-    mutate(data)
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-    return path
-
-
-def test_load_rejects_corruption(tmp_path, g2_table):
-    def fresh():
-        return save_table(g2_table, cache_dir=str(tmp_path))
-
-    with pytest.raises(TableCacheError):
-        load_table(str(tmp_path / "missing.json"))
-
-    bad = tmp_path / "g2.v1.json"
-    bad.write_text("{not json")
-    with pytest.raises(TableCacheError):
-        load_table(str(bad))
-
-    def bump_version(d):
-        d["format_version"] = 99
-
-    with pytest.raises(TableCacheError, match="format version"):
-        load_table(_tampered(fresh(), bump_version))
-
-    def touch_entry(d):
-        d["entries"][0]["selector"] = [1, 3]
-
-    with pytest.raises(TableCacheError, match="checksum"):
-        load_table(_tampered(fresh(), touch_entry))
-
-    def flip_signature(d):
-        d["entries"][0]["signature"] *= -1
-        other = {k: v for k, v in d.items() if k != "checksum"}
-        d["checksum"] = tables._checksum(other)
-
-    with pytest.raises(TableCacheError, match="signature"):
-        load_table(_tampered(fresh(), flip_signature))
-
-    def drop_entry(d):
-        del d["entries"][0]
-        other = {k: v for k, v in d.items() if k != "checksum"}
-        d["checksum"] = tables._checksum(other)
-
-    with pytest.raises(TableCacheError, match="entries"):
-        load_table(_tampered(fresh(), drop_entry))
-
-    def scramble_candidates(d):
-        d["candidates"][0][1] = [9, 9]
-        other = {k: v for k, v in d.items() if k != "checksum"}
-        d["checksum"] = tables._checksum(other)
-
-    with pytest.raises(TableCacheError, match="candidate"):
-        load_table(_tampered(fresh(), scramble_candidates))
-
-    def reorder(d):
-        d["entries"].reverse()
-        other = {k: v for k, v in d.items() if k != "checksum"}
-        d["checksum"] = tables._checksum(other)
-
-    with pytest.raises(TableCacheError, match="order"):
-        load_table(_tampered(fresh(), reorder))
-
-
-def test_load_rejects_broken_quadratic_condition(tmp_path, g2_table):
-    """A selector moved to another in-range candidate, re-sorted and
-    re-checksummed, passes every check before the quadratic conditions."""
-    path = save_table(g2_table, cache_dir=str(tmp_path))
-    data = json.loads(open(path).read())
-    taken = {tuple(e["selector"]) for e in data["entries"]}
-    sizes = [len(slot) for slot in data["candidates"]]
-    entry = data["entries"][0]
-    moved = next(
-        [entry["selector"][0], y]
-        for y in range(1, sizes[1] + 1)
-        if (entry["selector"][0], y) not in taken
-    )
-    entry["selector"] = moved
-    data["entries"].sort(key=lambda e: e["selector"])
-    del data["checksum"]
-    data["checksum"] = tables._checksum(data)
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-    with pytest.raises(TableCacheError, match="quadratic condition"):
-        load_table(path)
-
-
-def test_load_or_build_reuses_cache(tmp_path, g2, monkeypatch):
-    t1 = load_or_build(g2, cache_dir=str(tmp_path))
-    path = table_cache_path(g2, str(tmp_path))
-    assert os.path.exists(path)
-    first_bytes = open(path, "rb").read()
-
-    def boom(_):
-        raise AssertionError("cache should have been used")
-
-    monkeypatch.setattr(tables, "build_table", boom)
-    t2 = load_or_build(g2, cache_dir=str(tmp_path))
-    assert open(path, "rb").read() == first_bytes
-    assert [(e.selector, e.signature) for e in t2.entries] == [
-        (e.selector, e.signature) for e in t1.entries
-    ]
-
-
-def test_load_or_build_without_write(tmp_path, a2):
-    load_or_build(a2, cache_dir=str(tmp_path), write=False)
-    assert not os.path.exists(table_cache_path(a2, str(tmp_path)))
-
-
-def test_default_cache_dir_env(monkeypatch, tmp_path):
-    monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
-    assert default_cache_dir() == str(tmp_path)
-    monkeypatch.delenv(tables.CACHE_DIR_ENV)
-    assert default_cache_dir().endswith(os.path.join(".cache", "weylchar"))
