@@ -1,12 +1,15 @@
-"""Time interpreter start-up, `import weylchar` and one small CLI request.
+"""Time interpreter start-up, `import weylchar` and two small CLI requests.
 
-Each of the three commands runs in a fresh process --repeat times, in
+Each of the four commands runs in a fresh process --repeat times, in
 round-robin order so that a slow spell of the host falls on all of them
 alike, and the best and the median wall time are printed in milliseconds:
 
     python -c pass                      the bare interpreter
-    python -c "import weylchar"         interpreter plus package import
-    python -m weylchar dimension ...    a whole request that does no table work
+    python -c "import weylchar"         interpreter plus package import, which
+                                        loads none of the package's modules
+    python -m weylchar dimension ...    a request that does no table work
+    python -m weylchar character ...    a request that builds the G2 table and
+                                        divides; it loads 8 of the 10 modules
 
 The children inherit the environment unchanged, so they import whichever
 source tree is on PYTHONPATH and keep the caller's bytecode-cache setting.
@@ -26,6 +29,8 @@ COMMANDS = (
     ("interpreter", ["-c", "pass"]),
     ("import", ["-c", "import weylchar"]),
     ("dimension", ["-m", "weylchar", "dimension", "--algebra", "G2",
+                   "--weight", "1,1"]),
+    ("character", ["-m", "weylchar", "character", "--algebra", "G2",
                    "--weight", "1,1"]),
 )
 

@@ -6,90 +6,77 @@ root-lattice vectors, and by summing over the enumerated Weyl group.  All
 arithmetic is exact (integers and fractions), and the two routes are
 cross-checked against each other, against the Freudenthal multiplicity
 recursion, and against the Weyl dimension formula.
+
+Importing the package loads none of its modules.  Each public name below is
+imported from its module the first time it is used (PEP 562), so a caller
+compiles and runs only the modules it needs.
 """
 
-from .algebra import (
-    Algebra,
-    WeightVec,
-    bilinear,
-    build_algebra,
-    dominant_reduce,
-    is_dominant,
-    orbit,
-    parse_algebra,
-    reflect,
-    to_basis,
-    weyl_order,
-)
-from .characters import (
-    CharacterResult,
-    character,
-    multiplicities,
-    present_alpha_basis,
-)
-from .errors import (
-    EnvelopeError,
-    InputError,
-    IntegrityError,
-    NotDivisibleError,
-    WeylcharError,
-)
-from .laurent import LaurentPoly, exact_div
-from .tables import (
-    AlternantTable,
-    alternant,
-    build_table,
-    check_signatures_by_expansion,
-    entry_exponents,
-    exponent_forms,
-    orbit_drops,
-)
-from .tensor import Decomposition, tensor_decompose
-from .weylgroup import (
-    WeylGroup,
-    alternant_direct,
-    freudenthal_multiplicities,
-    generate,
-    weyl_dimension,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Algebra",
-    "AlternantTable",
-    "CharacterResult",
-    "Decomposition",
-    "EnvelopeError",
-    "InputError",
-    "IntegrityError",
-    "LaurentPoly",
-    "NotDivisibleError",
-    "WeightVec",
-    "WeylGroup",
-    "WeylcharError",
-    "alternant",
-    "alternant_direct",
-    "bilinear",
-    "build_algebra",
-    "build_table",
-    "character",
-    "check_signatures_by_expansion",
-    "dominant_reduce",
-    "entry_exponents",
-    "exact_div",
-    "exponent_forms",
-    "freudenthal_multiplicities",
-    "generate",
-    "is_dominant",
-    "multiplicities",
-    "orbit",
-    "orbit_drops",
-    "parse_algebra",
-    "present_alpha_basis",
-    "reflect",
-    "tensor_decompose",
-    "to_basis",
-    "weyl_dimension",
-    "weyl_order",
-]
+# module -> the public names it provides
+_EXPORTS = {
+    "algebra": (
+        "Algebra",
+        "WeightVec",
+        "bilinear",
+        "build_algebra",
+        "dominant_reduce",
+        "is_dominant",
+        "orbit",
+        "parse_algebra",
+        "reflect",
+        "to_basis",
+        "weyl_order",
+    ),
+    "characters": (
+        "CharacterResult",
+        "character",
+        "multiplicities",
+        "present_alpha_basis",
+    ),
+    "errors": (
+        "EnvelopeError",
+        "InputError",
+        "IntegrityError",
+        "NotDivisibleError",
+        "WeylcharError",
+    ),
+    "laurent": ("LaurentPoly", "exact_div"),
+    "tables": (
+        "AlternantTable",
+        "alternant",
+        "build_table",
+        "check_signatures_by_expansion",
+        "entry_exponents",
+        "exponent_forms",
+        "orbit_drops",
+    ),
+    "tensor": ("Decomposition", "tensor_decompose"),
+    "weylgroup": (
+        "WeylGroup",
+        "alternant_direct",
+        "freudenthal_multiplicities",
+        "generate",
+        "weyl_dimension",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import factorial
 
 from . import linalg
-from .errors import InputError, IntegrityError
+from .errors import EnvelopeError, InputError, IntegrityError
 from .frozen import Frozen
 
 ROOT = "root"
@@ -33,6 +33,13 @@ WEIGHT = "weight"
 
 
 def _normalize(x):
+    """x as an int when it is integral, else as a Fraction.
+
+    Only an int or a Fraction is taken: Fraction() would also take a float,
+    a Decimal or a string, and round or parse it on the way in.
+    """
+    if not isinstance(x, (int, Fraction)):
+        raise InputError(f"coordinates must be int or Fraction, got {x!r}")
     f = Fraction(x)
     return f.numerator if f.denominator == 1 else f
 
@@ -40,6 +47,7 @@ def _normalize(x):
 class WeightVec(Frozen):
     """A vector in the weight space, tagged with the basis of its coords.
 
+    Coordinates are ints or Fractions; anything else raises InputError.
     Equal, and hashed alike, when both the coordinates and the basis agree.
     """
 
@@ -171,6 +179,21 @@ def weyl_order(family, rank):
         ("E", 7): 2903040,
         ("E", 8): 696729600,
     }[(family, rank)]
+
+
+ENVELOPE_MAX_ORDER = 51840
+
+
+def check_envelope(a):
+    """Raise unless full Weyl-group enumeration is tractable for a."""
+    order = weyl_order(a.family, a.rank)
+    if order > ENVELOPE_MAX_ORDER:
+        raise EnvelopeError(
+            f"|W({a.name})| = {order} exceeds the supported envelope "
+            f"({ENVELOPE_MAX_ORDER}); full enumeration at such scale is out of "
+            "scope (for comparison, |W(E8)| = 696729600)"
+        )
+    return order
 
 
 def _cartan_and_norms(family, rank):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg, tables, weylgroup
+from . import linalg, tables
 from .algebra import WeightVec, _require_dominant_integral
 from .errors import InputError, IntegrityError
 from .frozen import Frozen
@@ -58,6 +58,8 @@ def _numerator(a, m, method, table=None, group=None):
         t = table if table is not None else tables.shared_table(a)
         return tables.alternant(t, WeightVec.weight(m))
     if method == "weyl":
+        from . import weylgroup  # only this route enumerates the group
+
         return weylgroup.alternant_direct(a, WeightVec.weight(m), group=group)
     raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
 

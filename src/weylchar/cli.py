@@ -8,6 +8,10 @@ written to disk.
 
 JSON output is canonical: keys sorted, monomial lists ascending by total
 degree then lexicographically, so identical invocations are byte-identical.
+
+Each command imports the modules it runs inside its handler, so a request
+compiles and loads no module that it does not use: `dimension` never loads
+the tables, `gamma` never loads the Weyl group.
 """
 
 from __future__ import annotations
@@ -16,22 +20,25 @@ import argparse
 import json
 import sys
 
-from . import tables, weylgroup
-from .algebra import WeightVec, orbit, parse_algebra
-from .characters import character, multiplicities, present_alpha_basis
+from .algebra import WeightVec, parse_algebra
 from .errors import EnvelopeError, InputError, IntegrityError
-from .tensor import tensor_decompose
-from .weylgroup import freudenthal_multiplicities, weyl_dimension
+
+
+def _is_integer(text):
+    """True for ASCII decimal digits with an optional leading '-'.
+
+    int() also takes '_' between digits, a leading '+' and digits of other
+    scripts, none of which is a weight coordinate.
+    """
+    digits = text[1:] if text[:1] == "-" else text
+    return digits.isascii() and digits.isdigit()
 
 
 def _parse_weight(a, text, what="--weight"):
     parts = [p.strip() for p in str(text).split(",")]
-    try:
-        coords = tuple(int(p) for p in parts)
-    except ValueError:
-        raise InputError(
-            f"{what} must be comma-separated integers, got {text!r}"
-        ) from None
+    if not all(map(_is_integer, parts)):
+        raise InputError(f"{what} must be comma-separated integers, got {text!r}")
+    coords = tuple(int(p) for p in parts)
     if len(coords) != a.rank:
         raise InputError(
             f"{what} has {len(coords)} coordinates but {a.name} has rank {a.rank}"
@@ -50,6 +57,8 @@ def _sorted_monomials(poly):
 
 
 def _cmd_character(args):
+    from .characters import character, present_alpha_basis
+
     a = parse_algebra(args.algebra)
     m = _parse_weight(a, args.weight)
     result = character(a, m, method=args.method)
@@ -82,6 +91,8 @@ def _cmd_character(args):
 
 
 def _cmd_gamma(args):
+    from . import tables
+
     a = parse_algebra(args.algebra)
     table = tables.shared_table(a)
     if args.format == "json":
@@ -114,6 +125,9 @@ def _cmd_gamma(args):
 
 
 def _cmd_tensor(args):
+    from .tensor import tensor_decompose
+    from .weylgroup import weyl_dimension
+
     a = parse_algebra(args.algebra)
     lm = _parse_weight(a, args.left, what="--left")
     rm = _parse_weight(a, args.right, what="--right")
@@ -162,6 +176,8 @@ def _cmd_tensor(args):
 
 
 def _cmd_dimension(args):
+    from .weylgroup import weyl_dimension
+
     a = parse_algebra(args.algebra)
     m = _parse_weight(a, args.weight)
     dim = weyl_dimension(a, WeightVec.weight(m))
@@ -178,8 +194,13 @@ def _verify_checks(a, table, depth):
     """Run the invariant suite; yields (name, passed, detail)."""
     import itertools
 
+    from . import tables, weylgroup
+    from .algebra import orbit, weyl_order
+    from .characters import character, multiplicities
+    from .weylgroup import freudenthal_multiplicities, weyl_dimension
+
     group = weylgroup.generate(a)
-    expected = weylgroup.weyl_order(a.family, a.rank)
+    expected = weyl_order(a.family, a.rank)
 
     yield (
         "entry-count-matches-group-order",
@@ -243,6 +264,8 @@ def _verify_checks(a, table, depth):
 
 
 def _cmd_verify(args):
+    from . import tables
+
     a = parse_algebra(args.algebra)
     if args.depth < 0:
         raise InputError(f"--depth must be non-negative, got {args.depth}")

@@ -36,11 +36,10 @@ from itertools import repeat
 from operator import mul, xor
 
 from . import linalg
-from .algebra import WeightVec, _require_dominant_integral
+from .algebra import WeightVec, _require_dominant_integral, check_envelope
 from .errors import EnvelopeError, InputError, IntegrityError
 from .frozen import Frozen
 from .laurent import LaurentPoly
-from .weylgroup import check_envelope
 
 _DIGIT = 64             # bits per coordinate in the packed rows of the trie walk
 _HALF = 1 << (_DIGIT - 1)

@@ -9,7 +9,9 @@ recursion.  The table machinery is cross-checked against these routes.
 Group elements are integer matrices acting on weight-basis coordinate rows
 (v maps to v @ M).  Generation refuses algebras whose group order exceeds
 ENVELOPE_MAX_ORDER = |W(E6)|; anything beyond that (the order of W(E8) is
-696729600) is out of scope for full enumeration here.
+696729600) is out of scope for full enumeration here.  The envelope and its
+check_envelope live in weylchar.algebra, next to weyl_order, so that the
+tables can apply it without loading this module; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -19,32 +21,19 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import (
+    ENVELOPE_MAX_ORDER,
     WeightVec,
     _dominant_coords,
     _require_dominant_integral,
     bilinear,
+    check_envelope,
     orbit,
     pair_with_root,
     root_coords,
-    weyl_order,
 )
-from .errors import EnvelopeError, IntegrityError
+from .errors import IntegrityError
 from .frozen import Frozen
 from .laurent import LaurentPoly
-
-ENVELOPE_MAX_ORDER = 51840
-
-
-def check_envelope(a):
-    """Raise unless full Weyl-group enumeration is tractable for a."""
-    order = weyl_order(a.family, a.rank)
-    if order > ENVELOPE_MAX_ORDER:
-        raise EnvelopeError(
-            f"|W({a.name})| = {order} exceeds the supported envelope "
-            f"({ENVELOPE_MAX_ORDER}); full enumeration at such scale is out of "
-            "scope (for comparison, |W(E8)| = 696729600)"
-        )
-    return order
 
 
 class WeylGroup(Frozen):

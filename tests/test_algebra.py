@@ -1,5 +1,6 @@
 """Root data construction: Cartan matrices, roots, weights, reflections."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,14 @@ def test_weightvec_normalizes_integral_fractions():
     v = WeightVec.weight((Fraction(4, 2), Fraction(1, 1)))
     assert v.coords == (2, 1)
     assert all(isinstance(x, int) for x in v.coords)
+
+
+@pytest.mark.parametrize("x", [0.1, 1.0, Decimal("1"), "1", "1/2", None])
+def test_weightvec_takes_only_exact_coordinates(x):
+    """Fraction() would take each of these; 0.1 became 3602879701896397/2**55."""
+    for make in (WeightVec.weight, WeightVec.root):
+        with pytest.raises(InputError, match="int or Fraction"):
+            make((x, 1))
 
 
 @given(algebra_and_weight())

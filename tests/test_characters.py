@@ -136,6 +136,8 @@ def test_input_errors(g2):
         character(g2, (1, 0, 0))
     with pytest.raises(InputError):
         character(g2, (1, 0), method="magic")
+    with pytest.raises(InputError):
+        character(g2, (1.0, 0))  # not the 14-dimensional character
 
 
 def test_repr(g2):

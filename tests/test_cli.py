@@ -178,6 +178,33 @@ def test_exit_code_2_on_bad_input(capsys):
         assert err.startswith("error:") and out == ""
 
 
+@pytest.mark.parametrize("weight", [
+    "1_0,0",            # int() reads 10
+    "\u0663,0",         # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+    "+1,0",
+    "1,\uff10",         # FULLWIDTH DIGIT ZERO
+    "-,0",
+    "1,",
+])
+def test_weights_take_only_ascii_digits(capsys, weight):
+    for command in ("character", "dimension"):
+        code, out, err = run(capsys, command, "--algebra", "G2", f"--weight={weight}")
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: --weight must be comma-separated integers, got {weight!r}\n"
+        )
+    code, _, err = run(
+        capsys, "tensor", "--algebra", "G2", "--left", "1,0", f"--right={weight}",
+    )
+    assert code == 2 and "--right must be comma-separated integers" in err
+
+
+def test_negative_weight_is_reported_as_not_dominant(capsys):
+    code, out, err = run(capsys, "dimension", "--algebra", "G2", "--weight", "-1, 0")
+    assert code == 2 and out == ""
+    assert err == "error: --weight must be dominant (non-negative), got [-1, 0]\n"
+
+
 def test_exit_code_4_on_envelope(capsys):
     for name in ["E7", "E8", "B7"]:
         code, _, err = run(capsys, "gamma", "--algebra", name)

@@ -1,6 +1,9 @@
-"""Immutable records: no assignment, equality rules, reprs, light imports."""
+"""Immutable records (no assignment, equality rules, reprs), light imports
+and the lazy package namespace."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -112,22 +115,34 @@ def test_reprs(records):
     )
 
 
-def loaded_by_cli_import(*modules):
-    """Which of modules a fresh interpreter holds after `import weylchar.cli`."""
+SUBMODULES = tuple(
+    f"weylchar.{m.name}" for m in pkgutil.iter_modules(weylchar.__path__)
+)
+
+
+def loaded_by_cli_import(*modules, argv=None, code="import weylchar.cli"):
+    """Which of modules a fresh interpreter holds after `import weylchar.cli`.
+
+    With argv it then also runs the request weylchar.cli.main(argv), as
+    `python -m weylchar` would; code replaces the import.
+    """
     src = os.path.dirname(os.path.dirname(weylchar.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    if argv is not None:
+        code += f"; assert weylchar.cli.main({argv!r}) == 0"
     probe = (
-        "import sys, weylchar.cli; "
+        f"import sys; {code}\n"
         f"print(' '.join(m for m in {modules!r} if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
         check=True,
     )
-    return proc.stdout.split()
+    # the request's own output, if any, comes first
+    return proc.stdout.splitlines()[-1].split()
 
 
 def test_cli_import_leaves_out_heavy_modules():
@@ -137,3 +152,54 @@ def test_cli_import_leaves_out_heavy_modules():
 def test_cli_import_leaves_out_hashlib():
     """No table is hashed or cached on disk, so OpenSSL is never loaded."""
     assert loaded_by_cli_import("hashlib") == []
+
+
+def test_package_import_loads_no_submodule():
+    assert SUBMODULES and "weylchar.cli" in SUBMODULES
+    assert loaded_by_cli_import(*SUBMODULES, code="import weylchar") == []
+    # dir() lists every export before any is used, and loads nothing either
+    listed = "import weylchar; assert set(weylchar.__all__) <= set(dir(weylchar))"
+    assert loaded_by_cli_import(*SUBMODULES, code=listed) == []
+
+
+# request -> modules it must not load
+LEFT_OUT = [
+    (["dimension", "--algebra", "D5", "--weight", "1,0,0,0,1"],
+     ("weylchar.tables", "weylchar.characters", "weylchar.tensor")),
+    (["gamma", "--algebra", "B3"],
+     ("weylchar.weylgroup", "weylchar.tensor")),
+    (["character", "--algebra", "G2", "--weight", "1,1"],
+     ("weylchar.weylgroup", "weylchar.tensor")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, modules", LEFT_OUT, ids=["dimension", "gamma", "character-gamma"]
+)
+def test_cli_request_loads_only_what_it_runs(argv, modules):
+    for fmt in ("text", "json"):
+        assert loaded_by_cli_import(*modules, argv=argv + ["--format", fmt]) == []
+
+
+def test_lazy_exports_are_the_module_attributes():
+    listed = [name for names in weylchar._EXPORTS.values() for name in names]
+    assert sorted(listed) == weylchar.__all__  # each name under one module
+    for module, names in weylchar._EXPORTS.items():
+        mod = importlib.import_module(f"weylchar.{module}")
+        for name in names:
+            assert getattr(weylchar, name) is getattr(mod, name), name
+
+
+def test_lazy_exports_are_listed_and_star_importable():
+    assert set(weylchar.__all__) <= set(dir(weylchar))
+    namespace = {}
+    exec("from weylchar import *", namespace)
+    for name in weylchar.__all__:
+        assert namespace[name] is getattr(weylchar, name), name
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        weylchar.no_such_name
+    with pytest.raises(ImportError):
+        exec("from weylchar import no_such_name", {})

@@ -21,7 +21,7 @@ RUNS = {
     "benchmark_amortization.py": (
         ["--algebras", "G2", "--count", "5"], "build+alt"
     ),
-    "time_startup.py": (["--repeat", "1"], "dimension"),
+    "time_startup.py": (["--repeat", "1"], "character"),
 }
 
 
