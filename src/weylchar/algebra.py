@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from . import linalg
 from .errors import EnvelopeError, InputError, IntegrityError
@@ -90,11 +91,11 @@ class Algebra(Frozen):
     """Immutable root-system data for one simple algebra.
 
     Instances are interned by build_algebra, so identity comparison is fine.
-    gram_root and gram_weight hold the invariant form on root-basis and
-    weight-basis rows respectively; gram_weight_scaled is gram_weight times
-    gram_scale with integer entries, for hot integer-only inner products.
     cartan_adjugate and cartan_det are the integer adjugate and the
-    determinant of cartan, so that cartan_inv is cartan_adjugate / cartan_det.
+    determinant of cartan, so that C^-1 = cartan_adjugate / cartan_det.
+    gram_root holds the invariant form on root-basis rows, and
+    gram_weight_scaled the form on weight-basis rows times cartan_det, so
+    that both stay integer.
     positive_roots_weight holds the raw integer weight-basis rows of
     positive_roots, in the same order; the character division and the
     signature expansion both take their factors from it.
@@ -109,11 +110,8 @@ class Algebra(Frozen):
         "positive_roots_weight",   # integer weight-basis rows, same order
         "fundamental_weights",     # WeightVec, weight basis
         "weyl_vector",             # WeightVec
-        "cartan_inv",              # Fraction entries
         "gram_root",               # integer entries
-        "gram_weight",             # Fraction entries
-        "gram_weight_scaled",      # integer entries
-        "gram_scale",              # int
+        "gram_weight_scaled",      # integer entries, scale cartan_det
         "cartan_adjugate",         # integer entries
         "cartan_det",              # int, positive
     )
@@ -128,11 +126,8 @@ class Algebra(Frozen):
         positive_roots_weight,
         fundamental_weights,
         weyl_vector,
-        cartan_inv,
         gram_root,
-        gram_weight,
         gram_weight_scaled,
-        gram_scale,
         cartan_adjugate,
         cartan_det,
     ):
@@ -144,11 +139,8 @@ class Algebra(Frozen):
         object.__setattr__(self, "positive_roots_weight", positive_roots_weight)
         object.__setattr__(self, "fundamental_weights", fundamental_weights)
         object.__setattr__(self, "weyl_vector", weyl_vector)
-        object.__setattr__(self, "cartan_inv", cartan_inv)
         object.__setattr__(self, "gram_root", gram_root)
-        object.__setattr__(self, "gram_weight", gram_weight)
         object.__setattr__(self, "gram_weight_scaled", gram_weight_scaled)
-        object.__setattr__(self, "gram_scale", gram_scale)
         object.__setattr__(self, "cartan_adjugate", cartan_adjugate)
         object.__setattr__(self, "cartan_det", cartan_det)
 
@@ -305,32 +297,22 @@ def build_algebra(family, rank):
             if cartan[i][j] * d[j] != cartan[j][i] * d[i]:
                 raise IntegrityError("Cartan matrix is not symmetrizable by d")
 
-    cartan_inv = linalg.inverse_frac(cartan)
     cartan_det = linalg.det_int(cartan)
-    cartan_adjugate = tuple(
-        tuple(int(x * cartan_det) for x in row) for row in cartan_inv
-    )
+    cartan_adjugate = _adjugate(cartan)
     gram_root = tuple(
         tuple(cartan[i][j] * d[j] for j in range(r)) for i in range(r)
     )
-    # (l_i, l_j) = cartan_inv[i][j] (a_j, a_j) / 2, as l_i pairs with a_j to
-    # delta_ij d_j
-    gram_weight = tuple(
-        tuple(cartan_inv[i][j] * d[j] for j in range(r)) for i in range(r)
-    )
-    scale = 1
-    for row in gram_weight:
-        for x in row:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
+    # (l_i, l_j) = C^-1[i][j] (a_j, a_j) / 2, as l_i pairs with a_j to
+    # delta_ij d_j; scaled by cartan_det to stay integer
     gram_weight_scaled = tuple(
-        tuple(int(x * scale) for x in row) for row in gram_weight
+        tuple(cartan_adjugate[i][j] * d[j] for j in range(r)) for i in range(r)
     )
 
     pos = _positive_root_coords(cartan)
     # the sum of all positive roots must equal twice the Weyl vector
     total = tuple(sum(n[k] for n in pos) for k in range(r))
-    two_rho = linalg.vec_mat((2,) * r, cartan_inv)
-    if any(Fraction(total[k]) != two_rho[k] for k in range(r)):
+    two_rho = linalg.vec_mat((2,) * r, cartan_adjugate)
+    if any(t * cartan_det != x for t, x in zip(total, two_rho)):
         raise IntegrityError("positive root closure is inconsistent")
 
     return Algebra(
@@ -345,20 +327,27 @@ def build_algebra(family, rank):
             for i in range(r)
         ),
         weyl_vector=WeightVec.weight((1,) * r),
-        cartan_inv=cartan_inv,
         gram_root=gram_root,
-        gram_weight=gram_weight,
         gram_weight_scaled=gram_weight_scaled,
-        gram_scale=scale,
         cartan_adjugate=cartan_adjugate,
         cartan_det=cartan_det,
     )
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _adjugate(m):
+    """Integer adjugate of a square integer matrix, by cofactors."""
+    n = len(m)
+    if n == 1:
+        return ((1,),)
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * linalg.det_int(
+                [row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j]
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
 
 
 def parse_algebra(label):
@@ -393,7 +382,8 @@ def root_coords(a, v):
     if v.basis == ROOT:
         return v.coords
     return tuple(
-        _normalize(Fraction(x)) for x in linalg.vec_mat(v.coords, a.cartan_inv)
+        _normalize(Fraction(x, a.cartan_det))
+        for x in linalg.vec_mat(v.coords, a.cartan_adjugate)
     )
 
 
@@ -413,9 +403,10 @@ def bilinear(a, v, w):
     _check_rank(a, v)
     _check_rank(a, w)
     if v.basis == w.basis:
-        gram = a.gram_root if v.basis == ROOT else a.gram_weight
-        t = linalg.vec_mat(v.coords, gram)
-        return _normalize(sum(Fraction(x) * y for x, y in zip(t, w.coords)))
+        root = v.basis == ROOT
+        t = linalg.vec_mat(v.coords, a.gram_root if root else a.gram_weight_scaled)
+        dot = sum(map(mul, t, w.coords))
+        return _normalize(Fraction(dot, 1 if root else a.cartan_det))
     # mixed bases pair cleanly: (l_i, a_j) = delta_ij (a_j, a_j)/2
     if v.basis == ROOT:
         v, w = w, v

@@ -6,10 +6,7 @@ vector v as v @ M.  Row i of M is the image of the i-th basis vector.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
-
-from .errors import IntegrityError
 
 
 def identity(n):
@@ -51,26 +48,4 @@ def det_int(m):
             a[i][k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def inverse_frac(m):
-    """Exact inverse via Gauss-Jordan over Fraction.  Raises on singular."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise IntegrityError("matrix is singular")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
 

@@ -15,12 +15,13 @@ group when reconstructing:
   match: (l_i - g_i, l_j - g_j) = (l_i, l_j).  The selections are found by
   backtracking over slots ordered by ascending candidate count, pruning with
   precomputed pairwise compatibility sets.
-* Each entry determines a linear map U on weight space by U(l_i) = l_i - g_i.
-  U is orthogonal with determinant +-1; the determinant is the entry's
-  signature, and the entry's monomial for a dominant weight L is
-  e^(U^-1(rho + L)).  With g_i in coroot coordinates, scaled by 1/d_i, as
-  the rows h_i of H, U^-1 = I - H^T C for the Cartan matrix C: integers
-  throughout, no division and no inverse (see _entries).
+* Each entry determines a linear map U on weight space by U(l_i) = l_i - g_i:
+  the Weyl group element w it stands for.  Its monomial for a dominant
+  weight L is e^(U^-1(rho + L)); with g_i in coroot coordinates, scaled by
+  1/d_i, as the rows h_i of H, U^-1 = I - H^T C for the Cartan matrix C.
+  An entry keeps only its selector and its sign det U = (-1)^l(w), read off
+  the pairings of U^-1 rho with the positive roots (_entries): integers
+  throughout: no determinant is taken and no map is stored.
 
 The number of entries must equal the Weyl group order exactly; any excess or
 deficit is reported as corruption rather than repaired.  Tables live in
@@ -31,6 +32,7 @@ which takes milliseconds up to rank 5 (scripts/time_tables.py).
 from __future__ import annotations
 
 import struct
+from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import mul, xor
@@ -82,17 +84,15 @@ def orbit_drops(a, i):
 class TableEntry(Frozen):
     """One signed term of the reconstructed alternant.
 
-    selector holds one-based candidate indices, slot by slot.  monomial_map
-    is the integer weight-basis matrix of U^-1, so the exponent row for a
-    dominant weight L is (rho + L) @ monomial_map.
+    selector holds one-based candidate indices, slot by slot; signature is
+    the entry's sign, +1 or -1.
     """
 
-    __slots__ = ("selector", "signature", "monomial_map")
+    __slots__ = ("selector", "signature")
 
-    def __init__(self, selector, signature, monomial_map):
+    def __init__(self, selector, signature):
         object.__setattr__(self, "selector", selector)
         object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "monomial_map", monomial_map)
 
 
 class AlternantTable(Frozen):
@@ -227,24 +227,31 @@ def _pack(row):
 
 
 def _walk(levels, start, shifts, width, bound):
-    """Rows of the trie's last level: start minus the shifts along each path.
+    """Packed rows of the trie's last level: start minus each path's shifts.
 
     start and shifts[k][c], the row that candidate c of slot k subtracts,
     are rows of width coordinates packed by _pack.  A node's row is
     computed once, as one integer subtraction, and shared by every selector
-    through it; the last level comes back as tuples.  bound caps the
-    absolute value of every coordinate there: each must fit a signed
-    64-bit digit, and an EnvelopeError is raised up front if one may not.
+    through it.  Each coordinate e comes back as the 64-bit digit e + 2^63,
+    whose top bit is clear exactly when e < 0 (_unpack decodes them).
+    bound caps the absolute value of every coordinate along the way: each
+    must fit a signed 64-bit digit, and an EnvelopeError is raised up front
+    if one may not.
     """
     if bound >= _HALF:
         raise EnvelopeError(
             f"exponent rows may reach {bound}, past the signed 64-bit "
             "coordinates of the table walk"
         )
-    offset = _pack([_HALF] * width)   # keeps every digit non-negative
-    rows = [start + offset]
+    rows = [start + _pack([_HALF] * width)]   # every digit non-negative
     for (parents, cands), shift in zip(levels, shifts):
         rows = [rows[p] - shift[c] for p, c in zip(parents, cands)]
+    return rows
+
+
+def _unpack(rows, width):
+    """The coordinate tuples of packed rows from _walk."""
+    offset = _pack([_HALF] * width)
     # flipping the top bits back leaves each digit e in two's complement
     blob = b"".join(
         map(int.to_bytes, map(xor, rows, repeat(offset)),
@@ -254,43 +261,45 @@ def _walk(levels, start, shifts, width, bound):
     return list(zip(*[iter(flat)] * width))
 
 
-def _entries(a, selectors, levels, vrows, hrows):
-    """The table entries of the given sorted selectors.
+def _entries(a, selectors, levels, hrows):
+    """The entries of the sorted selectors, each with its sign.
 
-    The entry map U has the rows l_i - g_i.  The quadratic conditions make
-    it orthogonal; build_table's search establishes them before calling
-    here.  Then row j of U^-1 is l_j minus
-    sum_i ((l_j, g_i) / d_i) a_i, that is U^-1 = I - H^T C, with H the
-    matrix of the coroot rows h_i of the selected candidates and C the
-    Cartan matrix.  H^T C is the sum over slots of the outer products
-    h_i C[i], one per candidate, so the maps come out of one walk down the
-    selector trie with no division and no matrix product.  The signature is
-    the determinant of U, which must be +-1.
+    An entry stands for the Weyl group element U, whose sign det U is
+    (-1)^l, where l counts the positive roots alpha with (U^-1 rho, alpha)
+    < 0 (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).  As
+    U^-1 rho = rho - sum_i (h_i . rho) a_i (alternant), one walk down the
+    selector trie carries these pairings, one digit per positive root:
+    (rho, alpha) minus (sum h_i) (a_i, alpha) per slot.  l is the count of
+    negative digits, one & and one bit_count per entry.
+
+    The count needs U^-1 rho off every wall, as it is for a Weyl group
+    element; a zero digit, which subtracting (1, ..., 1) turns negative,
+    raises IntegrityError.  det U = +-1 needs no check of its own: the
+    quadratic conditions of build_table's search make U orthogonal.
     """
-    r = a.rank
-    outer = [
-        [tuple([x * y for x in h for y in crow]) for h in hats]
-        for hats, crow in zip(hrows, a.cartan)
-    ]
-    bound = 1 + sum(max(abs(x) for row in slot for x in row) for slot in outer)
-    start = _pack([1 if j == k else 0 for j in range(r) for k in range(r)])
-    shifts = [[_pack(row) for row in slot] for slot in outer]
+    roots = [n.coords for n in a.positive_roots]
+    npos = len(roots)
+    d = [n // 2 for n in a.root_norms]
+    rho = [sum(map(mul, n, d)) for n in roots]   # (rho, alpha)
+    simple = [[sum(map(mul, row, n)) for n in roots] for row in a.gram_root]
+    totals = [[sum(h) for h in hats] for hats in hrows]
+    bound = max(rho) + sum(
+        max(map(abs, ts)) * max(map(abs, ps)) for ts, ps in zip(totals, simple)
+    )
+    shifts = [[t * p for t in ts] for ts, p in zip(totals, map(_pack, simple))]
+    top = _pack([_HALF] * npos)   # the top bit of every digit
+    ones = _pack([1] * npos)
     entries = []
-    for selector, flat in zip(
-        selectors, _walk(levels, start, shifts, r * r, bound)
+    for selector, row in zip(
+        selectors, _walk(levels, _pack(rho), shifts, npos, bound)
     ):
-        det = linalg.det_int([vrows[i][x - 1] for i, x in enumerate(selector)])
-        if det not in (1, -1):
+        kept = (row & top).bit_count()   # digits >= 0
+        if ((row - ones) & top).bit_count() != kept:
             raise IntegrityError(
-                f"entry {selector} does not define an orthogonal map (det {det})"
+                f"entry {selector} maps rho onto a wall; it is no Weyl "
+                "group element"
             )
-        entries.append(
-            TableEntry(
-                selector=selector,
-                signature=det,
-                monomial_map=tuple([flat[j:j + r] for j in range(0, r * r, r)]),
-            )
-        )
+        entries.append(TableEntry(selector, -1 if (npos - kept) & 1 else 1))
     return tuple(entries)
 
 
@@ -342,7 +351,7 @@ def build_table(a):
     return AlternantTable(
         algebra=a,
         candidates=cands,
-        entries=_entries(a, selectors, levels, vrows, hrows),
+        entries=_entries(a, selectors, levels, hrows),
         coroots=hrows,
         levels=levels,
     )
@@ -364,8 +373,8 @@ def alternant(table, weight):
     Exactly one monomial per entry; for strictly dominant rho + weight the
     exponent rows are pairwise distinct, which is asserted.  With v = rho +
     weight, the row of an entry is v @ (I - H^T C) = v - sum_i (h_i . v) C[i]
-    (_entries), so each candidate's shift (h . v) C[i] is computed once per
-    call and the entries subtract theirs down the selector trie.  A weight
+    (_monomial_map), so each candidate's shift (h . v) C[i] is computed once
+    per call and the entries subtract theirs down the selector trie.  A weight
     so large that an exponent coordinate could pass 2^63 - 1 in absolute
     value is refused with EnvelopeError.
     """
@@ -377,11 +386,27 @@ def alternant(table, weight):
         max(map(abs, ts)) * max(map(abs, crow)) for ts, crow in zip(dots, a.cartan)
     )
     shifts = [[t * row for t in ts] for ts, row in zip(dots, map(_pack, a.cartan))]
-    rows = _walk(table.levels, _pack(vec), shifts, a.rank, bound)
+    rows = _unpack(_walk(table.levels, _pack(vec), shifts, a.rank, bound), a.rank)
     terms = dict(zip(rows, [e.signature for e in table.entries]))
     if len(terms) != len(rows):
         raise IntegrityError("table produced a repeated exponent row")
     return LaurentPoly._raw(a.rank, terms)
+
+
+def _monomial_map(table, entry):
+    """The integer weight-basis matrix U^-1 of one entry, rebuilt on demand.
+
+    Row j of U^-1 is l_j - sum_i ((l_j, g_i) / d_i) a_i, that is
+    U^-1 = I - H^T C, and H^T C is the sum over slots of the outer products
+    h_i C[i].  The entry's exponent row for L is (rho + L) @ U^-1.
+    """
+    a = table.algebra
+    m = [list(row) for row in linalg.identity(a.rank)]
+    for slot, x, crow in zip(table.coroots, entry.selector, a.cartan):
+        for row, y in zip(m, slot[x - 1]):
+            for k, c in enumerate(crow):
+                row[k] -= y * c
+    return m
 
 
 def entry_exponents(table, entry, weight):
@@ -393,8 +418,10 @@ def entry_exponents(table, entry, weight):
     a = table.algebra
     m = _require_dominant_integral(a, weight)
     vec = tuple(x + 1 for x in m)
-    e = linalg.vec_mat(vec, entry.monomial_map)
-    return WeightVec.root(linalg.vec_mat(e, a.cartan_inv))
+    e = linalg.vec_mat(vec, _monomial_map(table, entry))
+    return WeightVec.root(
+        [Fraction(x, a.cartan_det) for x in linalg.vec_mat(e, a.cartan_adjugate)]
+    )
 
 
 class AffineExponents(Frozen):
@@ -440,7 +467,10 @@ def exponent_forms(table):
     a = table.algebra
     out = []
     for entry in table.entries:
-        mc = linalg.mat_mul(entry.monomial_map, a.cartan_inv)
+        mc = [
+            [Fraction(x, a.cartan_det) for x in row]
+            for row in linalg.mat_mul(_monomial_map(table, entry), a.cartan_adjugate)
+        ]
         constant = linalg.vec_mat((1,) * a.rank, mc)
         out.append(
             AffineExponents(

@@ -33,7 +33,6 @@ from .algebra import (
 )
 from .errors import IntegrityError
 from .frozen import Frozen
-from .laurent import LaurentPoly
 
 
 class WeylGroup(Frozen):
@@ -112,8 +111,11 @@ def alternant_direct(a, weight, group=None):
     This is the character-formula numerator computed the expensive way, used
     as the independent reference for the table route.  When group is omitted
     it is generated on the spot, so a bare call prices in the full cost of
-    touching the Weyl group.
+    touching the Weyl group.  LaurentPoly is imported here, so that the
+    requests that need only dimensions or multiplicities never load it.
     """
+    from .laurent import LaurentPoly
+
     m = _require_dominant_integral(a, weight)
     if group is None:
         group = generate(a)

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import inverse_frac
+
 from weylchar.algebra import (
     WeightVec,
     bilinear,
@@ -22,6 +24,7 @@ from weylchar.algebra import (
     weyl_order,
 )
 from weylchar.errors import InputError
+from weylchar.linalg import vec_mat
 
 SUPPORTED = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2", "F4")
 
@@ -60,6 +63,31 @@ def test_cartan_matrix_goldens():
     assert algebra("F4").cartan == (
         (2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2),
     )
+
+
+# every family at ranks 1 to 8 where it is defined, and the exceptional types
+EVERY_TYPE = [f"{f}{r}" for f in "ABCD" for r in range(1, 9)
+              if r >= {"A": 1, "B": 2, "C": 2, "D": 4}[f]] + [
+    "G2", "F4", "E6", "E7", "E8",
+]
+
+
+@pytest.mark.parametrize("name", EVERY_TYPE)
+def test_integer_adjugate_is_the_fraction_inverse(name):
+    """Oracle: cartan_adjugate / cartan_det is the Gauss-Jordan inverse of C,
+    and gram_weight_scaled / cartan_det is the form on weight rows, C^-1 D."""
+    a = algebra(name)
+    inv = inverse_frac(a.cartan)
+    det = a.cartan_det
+    assert det > 0
+    assert [[Fraction(x, det) for x in row] for row in a.cartan_adjugate] == [
+        list(row) for row in inv
+    ]
+    d = [n // 2 for n in a.root_norms]
+    assert [[Fraction(x, det) for x in row] for row in a.gram_weight_scaled] == [
+        [x * dj for x, dj in zip(row, d)] for row in inv
+    ]
+    assert root_coords(a, a.weyl_vector) == vec_mat(a.weyl_vector.coords, inv)
 
 
 def test_d4_has_a_triple_node():

@@ -95,8 +95,7 @@ def test_reprs(records):
     assert repr(g2) == "Algebra(G2)"
     assert repr(r["AlternantTable"]) == "AlternantTable(G2, entries=12)"
     assert repr(r["TableEntry"]) == (
-        "TableEntry(selector=(1, 1), signature=1, "
-        "monomial_map=((1, 0), (0, 1)))"
+        "TableEntry(selector=(1, 1), signature=1)"
     )
     assert repr(r["AffineExponents"]) == (
         "AffineExponents(signature=1, "
@@ -165,7 +164,8 @@ def test_package_import_loads_no_submodule():
 # request -> modules it must not load
 LEFT_OUT = [
     (["dimension", "--algebra", "D5", "--weight", "1,0,0,0,1"],
-     ("weylchar.tables", "weylchar.characters", "weylchar.tensor")),
+     ("weylchar.tables", "weylchar.characters", "weylchar.tensor",
+      "weylchar.laurent")),
     (["gamma", "--algebra", "B3"],
      ("weylchar.weylgroup", "weylchar.tensor")),
     (["character", "--algebra", "G2", "--weight", "1,1"],

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 import golden_g2
+from oracles import inverse_frac
+from weylchar import tables
 from weylchar.algebra import (
     WeightVec,
     bilinear,
@@ -14,15 +16,17 @@ from weylchar.algebra import (
     weight_coords,
     weyl_order,
 )
-from weylchar.errors import EnvelopeError, InputError
-from weylchar.linalg import identity, inverse_frac, mat_mul, vec_mat
+from weylchar.errors import EnvelopeError, InputError, IntegrityError
+from weylchar.linalg import det_int, identity, mat_mul, vec_mat
 from weylchar.tables import (
+    _monomial_map,
     alternant,
     build_table,
     check_signatures_by_expansion,
     entry_exponents,
     exponent_forms,
     orbit_drops,
+    shared_table,
 )
 from weylchar.weylgroup import alternant_direct, generate
 
@@ -156,40 +160,70 @@ def test_table_matches_group_enumeration(name):
     assert got == _selectors_from_group(a, table)
 
 
-def test_monomial_map_inverts_the_entry_map():
-    """Oracle for the entry maps U^-1 = I - H^T C: U @ monomial_map is the
-    identity, and on G2 and B3 monomial_map is U's Fraction inverse.
+def _entry_rows(a, table):
+    """Per entry, the rows of U in the weight basis: l_i - g_i for the
+    selected drop g_i of each slot i."""
+    moved = [
+        [
+            tuple((1 if k == i else 0) - x
+                  for k, x in enumerate(weight_coords(a, g)))
+            for g in slot
+        ]
+        for i, slot in enumerate(table.candidates)
+    ]
+    for entry in table.entries:
+        yield entry, tuple(moved[i][s - 1] for i, s in enumerate(entry.selector))
 
-    Row i of U, in the weight basis, is l_i - g_i for the selected drop g_i.
-    """
+
+def test_monomial_map_inverts_the_entry_map():
+    """Oracle for the on-demand entry maps U^-1 = I - H^T C: U @ U^-1 is the
+    identity, and on G2 and B3 the map is U's Fraction inverse."""
     for name in ["G2", "A2", "B3", "C3", "D4", "B4", "C4", "F4", "D5"]:
         a = algebra(name)
         t = build_table(a)
         ident = identity(a.rank)
-        moved = [
-            [
-                tuple((1 if k == i else 0) - x
-                      for k, x in enumerate(weight_coords(a, g)))
-                for g in slot
-            ]
-            for i, slot in enumerate(t.candidates)
-        ]
-        for entry in t.entries:
-            rows = tuple(moved[i][s - 1] for i, s in enumerate(entry.selector))
-            assert mat_mul(rows, entry.monomial_map) == ident
+        for entry, rows in _entry_rows(a, t):
+            inverse = tuple(map(tuple, _monomial_map(t, entry)))
+            assert mat_mul(rows, inverse) == ident
             if name in ("G2", "B3"):
-                assert entry.monomial_map == inverse_frac(rows)
+                assert inverse == inverse_frac(rows)
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS + ["E6"])
+def test_signatures_are_bareiss_determinants(name):
+    """Oracle for the signs read off the root pairings: each is det U, by
+    fraction-free Bareiss elimination."""
+    a = algebra(name)
+    t = shared_table(a)
+    for entry, rows in _entry_rows(a, t):
+        assert entry.signature == det_int(rows)
+
+
+def test_entry_with_rho_on_a_wall_is_refused(g2, monkeypatch):
+    """The signs need U^-1 rho off every wall.  One altered G2 coroot row
+    puts that image of entry (2, 3) on a wall, and the build refuses it."""
+    profiles = tables._candidate_profiles
+
+    def altered(a, cands):
+        vrows, grows, hrows = profiles(a, cands)
+        slot = list(hrows[0])
+        slot[1] = (slot[1][0] + 1, slot[1][1])
+        return vrows, grows, (tuple(slot),) + hrows[1:]
+
+    monkeypatch.setattr(tables, "_candidate_profiles", altered)
+    with pytest.raises(IntegrityError, match=r"entry \(2, 3\) maps rho onto a wall"):
+        build_table(g2)
 
 
 @pytest.mark.parametrize("name", ["G2", "B3", "C3", "D4", "F4"])
 def test_alternant_applies_every_monomial_map(name):
     """The trie walk in alternant() gives each entry the row
-    (rho + weight) @ monomial_map, with the entry's signature."""
+    (rho + weight) @ U^-1, with the entry's signature."""
     a = algebra(name)
     t = build_table(a)
     for coords in [(0,) * a.rank, tuple(range(a.rank)), (3,) + (0,) * (a.rank - 1)]:
         vec = tuple(x + 1 for x in coords)
-        want = {vec_mat(vec, e.monomial_map): e.signature for e in t.entries}
+        want = {vec_mat(vec, _monomial_map(t, e)): e.signature for e in t.entries}
         got = alternant(t, WeightVec.weight(coords))
         assert got.terms == want
         assert list(got.terms) == list(want)
@@ -209,8 +243,8 @@ def test_alternant_near_the_64_bit_limit():
 def test_build_is_deterministic(g2):
     t1 = build_table(g2)
     t2 = build_table(g2)
-    assert [(e.selector, e.signature, e.monomial_map) for e in t1.entries] == [
-        (e.selector, e.signature, e.monomial_map) for e in t2.entries
+    assert [(e.selector, e.signature) for e in t1.entries] == [
+        (e.selector, e.signature) for e in t2.entries
     ]
 
 
