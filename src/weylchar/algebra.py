@@ -479,10 +479,13 @@ def _dominant_coords(cartan, m):
     """Dominant representative of the orbit of the weight-basis row m.
 
     Reflects in the first simple root with a negative coordinate until none
-    is left.  Works on plain tuples so hot loops allocate no WeightVec.
+    is left, and returns the representative with the number of reflections
+    made (its parity is the sign of the Weyl element applied).  Works on
+    plain tuples so hot loops allocate no WeightVec.
     """
     m = list(m)
     r = len(m)
+    steps = 0
     while True:
         for i in range(r):
             if m[i] < 0:
@@ -490,14 +493,16 @@ def _dominant_coords(cartan, m):
                 row = cartan[i]
                 for k in range(r):
                     m[k] -= ci * row[k]
+                steps += 1
                 break
         else:
-            return tuple(m)
+            return tuple(m), steps
 
 
 def dominant_reduce(a, v):
     """The unique dominant weight in the Weyl orbit of v, in weight basis."""
-    return WeightVec.weight(_dominant_coords(a.cartan, weight_coords(a, v)))
+    m, _ = _dominant_coords(a.cartan, weight_coords(a, v))
+    return WeightVec.weight(m)
 
 
 def pair_with_root(a, m, n):

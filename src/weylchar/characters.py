@@ -53,17 +53,6 @@ class CharacterResult(Frozen):
         )
 
 
-def _numerator(a, m, method, table=None, group=None):
-    if method == "gamma":
-        t = table if table is not None else tables.shared_table(a)
-        return tables.alternant(t, WeightVec.weight(m))
-    if method == "weyl":
-        from . import weylgroup  # only this route enumerates the group
-
-        return weylgroup.alternant_direct(a, WeightVec.weight(m), group=group)
-    raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
 def divide_by_denominator(a, num):
     """Exact quotient of an alternant by the Weyl denominator of a.
 
@@ -78,29 +67,32 @@ def divide_by_denominator(a, num):
     return quotient.translate((1,) * a.rank)
 
 
-def character(a, weight, method="gamma", table=None, group=None):
+def character(a, weight, method="gamma"):
     """Character of the irreducible module with the given highest weight.
 
-    weight may be a WeightVec or a row of weight-basis coordinates.  table
-    (method "gamma") or group (method "weyl"), when given, replaces the
-    process-wide table or a freshly generated Weyl group.  The result is
-    cached per (algebra, weight, method) when neither is passed.
+    weight may be a WeightVec or a row of weight-basis coordinates.  Method
+    "gamma" reads the process-wide table, "weyl" sums over a Weyl group
+    generated for the call.  The result is cached per (algebra, weight,
+    method).
     """
     if not isinstance(weight, WeightVec):
         weight = WeightVec.weight(tuple(weight))
     m = _require_dominant_integral(a, weight, what="highest weight")
-    if table is None and group is None:
-        return _character_cached(a, m, method)
-    return _character_impl(a, m, method, table, group)
+    return _character_cached(a, m, method)
 
 
 @lru_cache(maxsize=None)
 def _character_cached(a, m, method):
-    return _character_impl(a, m, method, None, None)
+    if method == "gamma":
+        num = tables.alternant(tables.shared_table(a), WeightVec.weight(m))
+    elif method == "weyl":
+        from . import weylgroup  # only this route enumerates the group
 
-
-def _character_impl(a, m, method, table, group):
-    num = _numerator(a, m, method, table=table, group=group)
+        num = weylgroup.alternant_direct(a, WeightVec.weight(m))
+    else:
+        raise InputError(
+            f"unknown method {method!r}; expected one of {METHODS}"
+        )
     poly = divide_by_denominator(a, num)
     top = poly.coeff(m)
     if top != 1:

@@ -233,7 +233,7 @@ def _verify_checks(a, table, depth):
 
     bad = None
     for coords in grid:
-        ch = character(a, coords, method="gamma", table=table)
+        ch = character(a, coords, method="gamma")
         if multiplicities(ch) != freudenthal_multiplicities(a, WeightVec.weight(coords)):
             bad = ("multiplicities", coords)
             break

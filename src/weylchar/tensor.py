@@ -1,23 +1,22 @@
-"""Tensor product decomposition by character arithmetic.
+"""Tensor product decomposition by the Brauer–Klimyk formula.
 
-The product of two characters is again a non-negative integer combination of
-irreducible characters.  The decomposition peels summands greedily: among
-the remaining monomials whose exponent row is dominant, the maximal one
-under graded lexicographic order on *root-basis* coordinates is a genuine
-highest weight of the remainder (that order refines the dominance order,
-which graded-lex on weight coordinates does not once a node of the diagram
-has three neighbours).  Its coefficient is the exact multiplicity.
+Only the character of the smaller factor (by Weyl dimension) is computed.
+For each of its weights nu with multiplicity m, the vector lambda + nu + rho
+(lambda the other highest weight) is reflected into the dominant chamber.  A
+result with a zero coordinate lies on a wall and contributes nothing;
+otherwise the result minus rho receives +m or -m, by the parity of the
+reflections made (Humphreys, Introduction to Lie Algebras and Representation
+Theory, section 24).  The net coefficients are the multiplicities of the
+irreducible summands.
 
-Every intermediate coefficient must stay non-negative; a negative value
-means an upstream bug and raises IntegrityError rather than being patched.
+Every net coefficient must come out non-negative; a negative value means an
+upstream bug and raises IntegrityError rather than being patched.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
 from . import linalg, weylgroup
-from .algebra import WeightVec, _require_dominant_integral
+from .algebra import WeightVec, _dominant_coords, _require_dominant_integral
 from .characters import character
 from .errors import IntegrityError
 from .frozen import Frozen
@@ -28,7 +27,8 @@ class Decomposition(Frozen):
         "algebra",    # Algebra
         "left",       # weight coords
         "right",      # weight coords
-        "summands",   # ((weight coords, multiplicity), ...) in peel order
+        "summands",   # ((weight coords, multiplicity), ...) in descending
+                      # graded-lex order on root-basis coordinates
     )
 
     def __init__(self, algebra, left, right, summands):
@@ -58,11 +58,10 @@ def _root_key(a, e):
 def tensor_decompose(a, left, right, method="gamma"):
     """Decompose the tensor product of two irreducible modules.
 
-    left and right are highest weights (WeightVec or coordinate rows).
-    Summands come out in peel order: descending graded-lex on root-basis
-    coordinates, a linear extension of dominance.  Method "gamma" reads the
-    process-wide table; with method "weyl" the Weyl group is generated once
-    here and passed on to every character computation.
+    left and right are highest weights (WeightVec or coordinate rows).  The
+    character of the smaller factor is computed once, by method.  Summands
+    come out in descending graded-lex order on root-basis coordinates, a
+    linear extension of dominance.
     """
     if not isinstance(left, WeightVec):
         left = WeightVec.weight(tuple(left))
@@ -71,39 +70,30 @@ def tensor_decompose(a, left, right, method="gamma"):
     lm = _require_dominant_integral(a, left, what="left highest weight")
     rm = _require_dominant_integral(a, right, what="right highest weight")
 
-    group = weylgroup.generate(a) if method == "weyl" else None
-
-    @cache  # left, right and the peeled tops may coincide
-    def char(m):
-        return character(a, m, method, group=group).poly
-
-    product = char(lm) * char(rm)
-    remainder = dict(product.terms)
+    small, big = lm, rm
+    if weylgroup.weyl_dimension(a, left) > weylgroup.weyl_dimension(a, right):
+        small, big = rm, lm
+    shifted = tuple(x + 1 for x in big)  # lambda + rho
+    cartan = a.cartan
+    net = {}
+    for nu, mult in character(a, small, method).poly.terms.items():
+        top, steps = _dominant_coords(
+            cartan, [x + y for x, y in zip(shifted, nu)]
+        )
+        if 0 in top:
+            continue  # on a wall: fixed by a reflection, so it cancels
+        w = tuple(x - 1 for x in top)
+        net[w] = net.get(w, 0) + (-mult if steps % 2 else mult)
     summands = []
-    while remainder:
-        dominant = [e for e in remainder if all(x >= 0 for x in e)]
-        if not dominant:
+    for w, mult in net.items():
+        if mult < 0:
             raise IntegrityError(
-                "tensor remainder has no dominant monomial but is nonzero"
+                f"tensor product has net multiplicity {mult} at {w}; "
+                "multiplicities must be non-negative"
             )
-        top = max(dominant, key=lambda e: _root_key(a, e))
-        mult = remainder[top]
-        if mult <= 0:
-            raise IntegrityError(
-                f"tensor peeling met multiplicity {mult} at {top}; "
-                "coefficients must stay positive"
-            )
-        summands.append((top, mult))
-        for e, c in char(top).terms.items():
-            s = remainder.get(e, 0) - mult * c
-            if s > 0:
-                remainder[e] = s
-            elif s == 0:
-                remainder.pop(e, None)
-            else:
-                raise IntegrityError(
-                    f"tensor peeling drove the coefficient at {e} below zero"
-                )
+        if mult:
+            summands.append((w, mult))
+    summands.sort(key=lambda t: _root_key(a, t[0]), reverse=True)
     return Decomposition(
         algebra=a, left=lm, right=rm, summands=tuple(summands)
     )

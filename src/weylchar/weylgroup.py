@@ -198,7 +198,7 @@ def freudenthal_multiplicities(a, weight):
             k = 1
             while True:
                 nu = tuple(mu[j] + k * nw[j] for j in range(r))
-                mult = dominant.get(_dominant_coords(cartan, nu))
+                mult = dominant.get(_dominant_coords(cartan, nu)[0])
                 if mult is None:
                     break  # weights along a root string are contiguous
                 acc += mult * pair_with_root(a, nu, n)

@@ -2,6 +2,10 @@
 
 from fractions import Fraction
 
+from weylchar.characters import character
+from weylchar.errors import IntegrityError
+from weylchar.tensor import _root_key
+
 
 def inverse_frac(m):
     """Exact inverse via Gauss-Jordan over Fraction.  Raises on singular."""
@@ -23,3 +27,47 @@ def inverse_frac(m):
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return tuple(tuple(row) for row in inv)
+
+
+def peel_decompose(a, left, right, method="gamma"):
+    """Tensor product summands by peeling the product of two characters.
+
+    Among the remaining monomials whose exponent row is dominant, the
+    maximal one under graded lexicographic order on *root-basis* coordinates
+    is a genuine highest weight of the remainder (that order refines the
+    dominance order, which graded-lex on weight coordinates does not once a
+    node of the diagram has three neighbours).  Its coefficient is the exact
+    multiplicity, and its character is subtracted that many times.  Every
+    intermediate coefficient must stay non-negative.  Returns the
+    ((weight coords, multiplicity), ...) summands in the order peeled.
+    """
+    def char(m):
+        return character(a, m, method).poly
+
+    remainder = dict((char(tuple(left)) * char(tuple(right))).terms)
+    summands = []
+    while remainder:
+        dominant = [e for e in remainder if all(x >= 0 for x in e)]
+        if not dominant:
+            raise IntegrityError(
+                "tensor remainder has no dominant monomial but is nonzero"
+            )
+        top = max(dominant, key=lambda e: _root_key(a, e))
+        mult = remainder[top]
+        if mult <= 0:
+            raise IntegrityError(
+                f"tensor peeling met multiplicity {mult} at {top}; "
+                "coefficients must stay positive"
+            )
+        summands.append((top, mult))
+        for e, c in char(top).terms.items():
+            s = remainder.get(e, 0) - mult * c
+            if s > 0:
+                remainder[e] = s
+            elif s == 0:
+                remainder.pop(e, None)
+            else:
+                raise IntegrityError(
+                    f"tensor peeling drove the coefficient at {e} below zero"
+                )
+    return tuple(summands)

@@ -75,11 +75,6 @@ def test_results_are_cached(g2):
     assert character(g2, (1, 1)) is character(g2, (1, 1))
 
 
-def test_explicit_table_route(g2, g2_table):
-    via_table = character(g2, (1, 0), table=g2_table)
-    assert via_table.poly == character(g2, (1, 0)).poly
-
-
 def test_a1_half_integral_presentation():
     a1 = algebra("A1")
     assert present_alpha_basis(character(a1, (1,))) == "u^(1/2) + u^(-1/2)"

@@ -5,14 +5,16 @@ import shutil
 import subprocess
 import sys
 
+from types import SimpleNamespace
+
 import pytest
 
 import golden_g2
-from weylchar import characters, tables, weylgroup
+from weylchar import characters, tables, tensor, weylgroup
 from weylchar.algebra import build_algebra
 from weylchar.characters import character
 from weylchar.cli import main
-from weylchar.errors import NotDivisibleError
+from weylchar.errors import IntegrityError, NotDivisibleError
 from weylchar.laurent import LaurentPoly
 
 
@@ -241,6 +243,26 @@ def test_exit_code_3_on_indivisible_numerator(capsys, monkeypatch):
     with pytest.raises(NotDivisibleError):
         character(build_algebra("G", 2), (1, 0))
     code, out, err = run(capsys, "character", "--algebra", "G2", "--weight", "1,0")
+    assert code == 3
+    assert err.startswith("error:") and out == ""
+
+
+def test_exit_code_3_on_negative_tensor_multiplicity(capsys, monkeypatch):
+    real = tensor.character
+
+    def top_multiplicity_negated(a, weight, method="gamma"):
+        terms = dict(real(a, weight, method).poly.terms)
+        # only the highest weight's term reaches the top summand, so its net
+        # multiplicity turns from 1 to -1
+        terms[tuple(weight)] = -1
+        return SimpleNamespace(poly=LaurentPoly(a.rank, terms))
+
+    monkeypatch.setattr(tensor, "character", top_multiplicity_negated)
+    with pytest.raises(IntegrityError, match="net multiplicity -1 at"):
+        tensor.tensor_decompose(build_algebra("G", 2), (1, 0), (1, 1))
+    code, out, err = run(
+        capsys, "tensor", "--algebra", "G2", "--left", "1,0", "--right", "1,1",
+    )
     assert code == 3
     assert err.startswith("error:") and out == ""
 

@@ -1,9 +1,12 @@
-"""Tensor product decomposition by character peeling."""
+"""Tensor product decomposition by the Brauer-Klimyk formula."""
+
+import itertools
 
 import pytest
 
 import golden_g2
-from weylchar import characters, weylgroup
+from oracles import peel_decompose
+from weylchar import characters, tables, weylgroup
 from weylchar.algebra import WeightVec, build_algebra
 from weylchar.errors import InputError
 from weylchar.tensor import tensor_decompose
@@ -20,9 +23,60 @@ def test_g2_golden_decomposition(g2):
     assert dec.total_dimension == 14 * 64 == 896
 
 
-def test_peel_order_starts_at_the_sum(g2):
+def test_summand_order_starts_at_the_sum(g2):
+    # descending graded-lex on root-basis coordinates
     dec = tensor_decompose(g2, (1, 0), (1, 1))
-    assert dec.summands[0] == ((2, 1), 1)
+    assert dec.summands == (
+        ((2, 1), 1), ((0, 4), 1), ((1, 2), 1), ((0, 3), 1), ((1, 1), 2),
+        ((0, 2), 1), ((0, 1), 1),
+    )
+
+
+# (algebra, largest coordinate, method): every ordered pair of highest weights
+ORACLE_GRID = [
+    ("A1", 4, "gamma"), ("A2", 2, "gamma"), ("B2", 2, "gamma"),
+    ("G2", 2, "gamma"), ("B3", 1, "gamma"), ("C3", 1, "gamma"),
+    ("A2", 1, "weyl"), ("G2", 1, "weyl"), ("C3", 1, "weyl"),
+]
+LARGER_PRODUCTS = [
+    ("G2", (3, 3), (3, 3)),
+    ("B3", (1, 1, 1), (1, 0, 1)),
+    ("D4", (1, 0, 1, 1), (0, 1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("name, top, method", ORACLE_GRID)
+def test_matches_peeling_on_the_grid(name, top, method):
+    a = algebra(name)
+    weights = list(itertools.product(range(top + 1), repeat=a.rank))
+    for u, v in itertools.product(weights, repeat=2):
+        want = peel_decompose(a, u, v, method)
+        assert tensor_decompose(a, u, v, method).summands == want, (u, v)
+
+
+@pytest.mark.parametrize("method", ["gamma", "weyl"])
+@pytest.mark.parametrize(
+    "name, u, v", LARGER_PRODUCTS, ids=[n for n, _, _ in LARGER_PRODUCTS]
+)
+def test_matches_peeling_on_larger_products(name, u, v, method):
+    a = algebra(name)
+    want = peel_decompose(a, u, v, method)
+    assert tensor_decompose(a, u, v, method).summands == want
+
+
+def test_gamma_route_computes_one_character(g2, monkeypatch):
+    built = []
+    real = tables.alternant
+
+    def counting(table, weight):
+        built.append(tuple(weight.coords))
+        return real(table, weight)
+
+    monkeypatch.setattr(tables, "alternant", counting)
+    tables.shared_table.cache_clear()
+    characters._character_cached.cache_clear()
+    tensor_decompose(g2, (1, 0), (1, 1))
+    assert built == [(1, 0)]  # the smaller factor only
 
 
 def test_a1_clebsch_gordan():
