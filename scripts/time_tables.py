@@ -1,5 +1,5 @@
 """Time the per-algebra stages: orbit drops, table build, group generation,
-and one alternant by either route.
+one alternant by either route, and the Freudenthal recursion at rho.
 
 Each stage is run --repeat times per algebra and the best wall time is
 printed in milliseconds:
@@ -11,6 +11,7 @@ printed in milliseconds:
                 dominant weights (the first ones of the graded box)
     alt W       the same alternants summed directly over a group
                 generated once, outside the timing
+    freud ρ     freudenthal_multiplicities at the Weyl vector rho
 
 To compare two checkouts, run the script against each source tree:
 
@@ -23,7 +24,7 @@ import time
 
 from weylchar.algebra import WeightVec, parse_algebra
 from weylchar.tables import alternant, build_table, orbit_drops
-from weylchar.weylgroup import alternant_direct, generate
+from weylchar.weylgroup import alternant_direct, freudenthal_multiplicities, generate
 
 DEFAULT = ["D4", "B4", "F4", "D5"]
 
@@ -59,7 +60,7 @@ def main():
 
     print(
         f"{'algebra':>8} {'|W|':>6} {'drops':>9} {'build':>9} "
-        f"{'generate':>9} {'alt table':>10} {'alt W':>9}"
+        f"{'generate':>9} {'alt table':>10} {'alt W':>9} {'freud ρ':>9}"
     )
     for name in args.algebras:
         a = parse_algebra(name)
@@ -79,9 +80,12 @@ def main():
             lambda: [alternant_direct(a, w, group=group) for w in weights],
             args.repeat,
         ) / n
+        freud = best_ms(
+            lambda: freudenthal_multiplicities(a, a.weyl_vector), args.repeat
+        )
         print(
             f"{a.name:>8} {table.size:>6} {drops:>7.1f}ms {build:>7.1f}ms "
-            f"{gen:>7.1f}ms {alt_table:>8.3f}ms {alt_w:>7.3f}ms"
+            f"{gen:>7.1f}ms {alt_table:>8.3f}ms {alt_w:>7.3f}ms {freud:>7.1f}ms"
         )
 
 

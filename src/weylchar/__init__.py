@@ -44,7 +44,7 @@ _EXPORTS = {
         "NotDivisibleError",
         "WeylcharError",
     ),
-    "laurent": ("LaurentPoly", "exact_div"),
+    "laurent": ("LaurentPoly",),
     "tables": (
         "AlternantTable",
         "alternant",

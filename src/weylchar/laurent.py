@@ -4,34 +4,15 @@ A polynomial is a finitely supported map from integer exponent rows of fixed
 length (the rank) to nonzero integer coefficients.  Arithmetic is exact with
 arbitrary-precision coefficients; no floating point anywhere.
 
-Two exact divisions are provided.  divide_by_binomials divides by a product
-of binomials e^d - 1 one factor at a time, with a running sum along each
-d-string; characters are divided this way.  exact_div is generic long
-division, kept as the independent reference: it shifts both operands into
-the ordinary polynomial ring by a monomial translation (per-coordinate
-support minimum), reduces leading terms under a monomial order, demands a
-zero remainder, and translates back.  Over an integral domain the
-per-coordinate support minimum of a product is the sum of the factors'
-minima, so the shifted quotient never needs negative exponents and the
-translation is safe.
+Exact division is by a product of binomials e^d - 1 (divide_by_binomials),
+one factor at a time, with a running sum along each d-string; characters are
+divided this way.  Generic long division is kept only in the tests, as the
+independent reference.
 """
 
 from __future__ import annotations
 
-import heapq
-
 from .errors import InputError, NotDivisibleError
-
-
-def _grlex_key(e):
-    return (sum(e), e)
-
-
-def _lex_key(e):
-    return e
-
-
-_ORDERS = {"grlex": _grlex_key, "lex": _lex_key}
 
 
 class LaurentPoly:
@@ -173,32 +154,9 @@ class LaurentPoly:
         """Value with every variable set to 1: the coefficient sum."""
         return sum(self.terms.values())
 
-    def leading(self, order="grlex"):
-        """(exponent, coefficient) of the maximal term under the order."""
-        if not self.terms:
-            raise InputError("zero polynomial has no leading term")
-        key = _ORDERS[order]
-        e = max(self.terms, key=key)
-        return e, self.terms[e]
-
-    def sorted_terms(self, reverse=True):
-        """Terms sorted by graded-lex, descending by default."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=reverse)
-
     def __repr__(self):
         n = len(self.terms)
         return f"LaurentPoly(rank={self.rank}, terms={n})"
-
-
-def _support_min(p):
-    its = iter(p.terms)
-    first = next(its)
-    lo = list(first)
-    for e in its:
-        for k, x in enumerate(e):
-            if x < lo[k]:
-                lo[k] = x
-    return tuple(lo)
 
 
 def divide_by_binomials(poly, steps):
@@ -278,83 +236,3 @@ def divide_by_binomials(poly, steps):
             e.append(digit - width[k] + lo[k])
         out[tuple(e)] = c
     return LaurentPoly._raw(rank, out)
-
-
-def exact_div(num, den, order="grlex"):
-    """Exact quotient num / den in the Laurent ring over the integers.
-
-    The quotient is order-independent when it exists; a nonzero remainder or
-    a non-integral coefficient raises NotDivisibleError.  Generic heap-based
-    long division: the package divides characters with divide_by_binomials
-    and keeps this as the independent reference the tests compare against.
-    """
-    if not isinstance(num, LaurentPoly) or not isinstance(den, LaurentPoly):
-        raise InputError("exact_div expects LaurentPoly operands")
-    num._check(den)
-    if order not in _ORDERS:
-        raise InputError(f"unknown monomial order {order!r}")
-    if den.is_zero():
-        raise InputError("division by the zero polynomial")
-    if num.is_zero():
-        return LaurentPoly.zero(num.rank)
-
-    keyf = _ORDERS[order]
-    rank = num.rank
-    r = range(rank)
-
-    shift_num = _support_min(num)
-    shift_den = _support_min(den)
-    rem = {
-        tuple(e[k] - shift_num[k] for k in r): c for e, c in num.terms.items()
-    }
-    den_terms = sorted(
-        (
-            (tuple(e[k] - shift_den[k] for k in r), c)
-            for e, c in den.terms.items()
-        ),
-        key=lambda t: keyf(t[0]),
-        reverse=True,
-    )
-    lt_exp, lt_coeff = den_terms[0]
-    tail = den_terms[1:]
-
-    # max-heap by pushing negated order keys; lazy deletion of stale keys
-    if order == "grlex":
-        def hkey(e):
-            return (-sum(e), tuple(-x for x in e))
-    else:
-        def hkey(e):
-            return tuple(-x for x in e)
-
-    heap = [(hkey(e), e) for e in rem]
-    heapq.heapify(heap)
-    quotient = {}
-    while heap:
-        _, e = heapq.heappop(heap)
-        c = rem.get(e)
-        if c is None:
-            continue  # stale entry
-        del rem[e]
-        q_exp = tuple(e[k] - lt_exp[k] for k in r)
-        if any(x < 0 for x in q_exp) or c % lt_coeff != 0:
-            raise NotDivisibleError(
-                f"remainder has irreducible leading term at exponent {e}"
-            )
-        q_c = c // lt_coeff
-        quotient[q_exp] = q_c
-        for f, d in tail:
-            key = tuple(q_exp[k] + f[k] for k in r)
-            s = rem.get(key, 0) - q_c * d
-            if s:
-                if key not in rem:
-                    heapq.heappush(heap, (hkey(key), key))
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    if rem:
-        raise NotDivisibleError("division left a nonzero remainder")
-
-    delta = tuple(shift_num[k] - shift_den[k] for k in r)
-    return LaurentPoly._raw(
-        rank, {tuple(e[k] + delta[k] for k in r): c for e, c in quotient.items()}
-    )

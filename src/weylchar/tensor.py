@@ -40,14 +40,6 @@ class Decomposition(Frozen):
     def as_dict(self):
         return dict(self.summands)
 
-    @property
-    def total_dimension(self):
-        a = self.algebra
-        return sum(
-            mult * weylgroup.weyl_dimension(a, WeightVec.weight(w))
-            for w, mult in self.summands
-        )
-
 
 def _root_key(a, e):
     # root coordinates times cartan_det > 0, which keeps their order

@@ -11,25 +11,23 @@ Group elements are integer matrices acting on weight-basis coordinate rows
 ENVELOPE_MAX_ORDER = |W(E6)|; anything beyond that (the order of W(E8) is
 696729600) is out of scope for full enumeration here.  The envelope and its
 check_envelope live in weylchar.algebra, next to weyl_order, so that the
-tables can apply it without loading this module; they are re-exported here.
+tables can apply it without loading this module.  Dimensions and
+multiplicities never touch the group and work on every type, E7 and E8
+included.
 """
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .algebra import (
-    ENVELOPE_MAX_ORDER,
     WeightVec,
     _dominant_coords,
     _require_dominant_integral,
-    bilinear,
     check_envelope,
     orbit,
     pair_with_root,
-    root_coords,
 )
 from .errors import IntegrityError
 from .frozen import Frozen
@@ -148,29 +146,41 @@ def weyl_dimension(a, weight):
     return q
 
 
+def _root_rows(a):
+    """(weight-basis row, root-basis row) of each positive root."""
+    return [
+        (nw, alpha.coords)
+        for nw, alpha in zip(a.positive_roots_weight, a.positive_roots)
+    ]
+
+
 def _dominant_weights_below(a, top):
     """Dominant weights mu with top - mu in the non-negative root lattice.
 
-    Returns a list of (weight coords, depth coords) sorted by increasing
-    depth height, which is the order the Freudenthal recursion needs.
+    Found by descent from top: subtract each positive root and keep the
+    dominant results.  Every dominant weight below top is reached this way
+    through dominant weights only (Stembridge, "The partial order of dominant
+    weights", Adv. Math. 136 (1998), Cor. 2.7).  Returns a list of (weight
+    coords, depth coords) sorted by increasing depth height, which is the
+    order the Freudenthal recursion needs; the depth is top - mu in the root
+    basis, so it determines mu and the order is total.
     """
-    r = a.rank
-    lam = WeightVec.weight(top)
-    # c_i <= (top, l_i) / d_i bounds the root-lattice depth coordinatewise
-    bounds = []
-    for i in range(r):
-        cap = bilinear(a, lam, a.fundamental_weights[i]) / Fraction(a.root_norms[i], 2)
-        bounds.append(int(cap))
-    out = []
-    for depth in itertools.product(*(range(b + 1) for b in bounds)):
-        mu = tuple(
-            top[k] - sum(depth[i] * a.cartan[i][k] for i in range(r))
-            for k in range(r)
-        )
-        if all(x >= 0 for x in mu):
-            out.append((mu, depth))
-    out.sort(key=lambda t: (sum(t[1]), t[1]))
-    return out
+    r = range(a.rank)
+    steps = _root_rows(a)
+    top = tuple(top)
+    depth_of = {top: (0,) * a.rank}
+    frontier = [top]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            depth = depth_of[mu]
+            for nw, n in steps:
+                nu = tuple([mu[k] - nw[k] for k in r])
+                if nu not in depth_of and min(nu) >= 0:
+                    depth_of[nu] = tuple([depth[k] + n[k] for k in r])
+                    nxt.append(nu)
+        frontier = nxt
+    return sorted(depth_of.items(), key=lambda t: (sum(t[1]), t[1]))
 
 
 def freudenthal_multiplicities(a, weight):
@@ -178,13 +188,20 @@ def freudenthal_multiplicities(a, weight):
 
     Returns the full finitely-supported map from weight-basis coordinate rows
     to multiplicities: dominant weights come from the recursion, the rest by
-    Weyl-orbit invariance.
+    Weyl-orbit invariance.  The arithmetic stays in integers: norms are taken
+    on gram_weight_scaled, the form times cartan_det, so each multiplicity is
+    2 cartan_det acc / (N(lambda + rho) - N(mu + rho)) and must divide
+    exactly.
     """
     m = _require_dominant_integral(a, weight)
-    lam_plus_rho = WeightVec.weight(tuple(x + 1 for x in m))
-    top_norm = bilinear(a, lam_plus_rho, lam_plus_rho)
-    pos = [root_coords(a, alpha) for alpha in a.positive_roots]
-    pos_w = a.positive_roots_weight
+    gram = a.gram_weight_scaled
+
+    def norm(v):
+        return sum(map(mul, linalg.vec_mat(v, gram), v))
+
+    top_norm = norm(tuple(x + 1 for x in m))
+    scale = 2 * a.cartan_det
+    roots = _root_rows(a)
     r = a.rank
     cartan = a.cartan
 
@@ -194,7 +211,7 @@ def freudenthal_multiplicities(a, weight):
             dominant[mu] = 1
             continue
         acc = 0
-        for n, nw in zip(pos, pos_w):
+        for nw, n in roots:
             k = 1
             while True:
                 nu = tuple(mu[j] + k * nw[j] for j in range(r))
@@ -203,16 +220,15 @@ def freudenthal_multiplicities(a, weight):
                     break  # weights along a root string are contiguous
                 acc += mult * pair_with_root(a, nu, n)
                 k += 1
-        mu_plus_rho = WeightVec.weight(tuple(x + 1 for x in mu))
-        denom = top_norm - bilinear(a, mu_plus_rho, mu_plus_rho)
+        denom = top_norm - norm(tuple(x + 1 for x in mu))
         if denom <= 0:
             raise IntegrityError("Freudenthal denominator must be positive")
-        value = Fraction(2 * acc, 1) / denom
-        if value.denominator != 1 or value < 0:
+        value, rem = divmod(scale * acc, denom)
+        if rem or value < 0:
             raise IntegrityError(
                 f"Freudenthal recursion gave non-integral multiplicity at {mu}"
             )
-        dominant[mu] = int(value)
+        dominant[mu] = value
 
     full = {}
     for mu, mult in dominant.items():

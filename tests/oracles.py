@@ -1,9 +1,13 @@
 """Independent exact oracles that the library itself no longer needs."""
 
+import heapq
+import itertools
 from fractions import Fraction
 
+from weylchar.algebra import WeightVec, bilinear
 from weylchar.characters import character
-from weylchar.errors import IntegrityError
+from weylchar.errors import InputError, IntegrityError, NotDivisibleError
+from weylchar.laurent import LaurentPoly
 from weylchar.tensor import _root_key
 
 
@@ -71,3 +75,114 @@ def peel_decompose(a, left, right, method="gamma"):
                     f"tensor peeling drove the coefficient at {e} below zero"
                 )
     return tuple(summands)
+
+
+def _support_min(p):
+    its = iter(p.terms)
+    first = next(its)
+    lo = list(first)
+    for e in its:
+        for k, x in enumerate(e):
+            if x < lo[k]:
+                lo[k] = x
+    return tuple(lo)
+
+
+def exact_div(num, den):
+    """Exact quotient num / den in the Laurent ring over the integers.
+
+    Generic long division under graded-lex order.  Both operands are shifted
+    into the ordinary polynomial ring by their per-coordinate support minima;
+    over an integral domain the support minimum of a product is the sum of
+    the factors' minima, so the shifted quotient never needs negative
+    exponents.  A nonzero remainder or a non-integral coefficient raises
+    NotDivisibleError.
+    """
+    if not isinstance(num, LaurentPoly) or not isinstance(den, LaurentPoly):
+        raise InputError("exact_div expects LaurentPoly operands")
+    num._check(den)
+    if den.is_zero():
+        raise InputError("division by the zero polynomial")
+    if num.is_zero():
+        return LaurentPoly.zero(num.rank)
+
+    rank = num.rank
+    r = range(rank)
+
+    shift_num = _support_min(num)
+    shift_den = _support_min(den)
+    rem = {
+        tuple(e[k] - shift_num[k] for k in r): c for e, c in num.terms.items()
+    }
+    den_terms = sorted(
+        (
+            (tuple(e[k] - shift_den[k] for k in r), c)
+            for e, c in den.terms.items()
+        ),
+        key=lambda t: (sum(t[0]), t[0]),
+        reverse=True,
+    )
+    lt_exp, lt_coeff = den_terms[0]
+    tail = den_terms[1:]
+
+    # max-heap by pushing negated grlex keys; lazy deletion of stale keys
+    def hkey(e):
+        return (-sum(e), tuple(-x for x in e))
+
+    heap = [(hkey(e), e) for e in rem]
+    heapq.heapify(heap)
+    quotient = {}
+    while heap:
+        _, e = heapq.heappop(heap)
+        c = rem.get(e)
+        if c is None:
+            continue  # stale entry
+        del rem[e]
+        q_exp = tuple(e[k] - lt_exp[k] for k in r)
+        if any(x < 0 for x in q_exp) or c % lt_coeff != 0:
+            raise NotDivisibleError(
+                f"remainder has irreducible leading term at exponent {e}"
+            )
+        q_c = c // lt_coeff
+        quotient[q_exp] = q_c
+        for f, d in tail:
+            key = tuple(q_exp[k] + f[k] for k in r)
+            s = rem.get(key, 0) - q_c * d
+            if s:
+                if key not in rem:
+                    heapq.heappush(heap, (hkey(key), key))
+                rem[key] = s
+            else:
+                rem.pop(key, None)
+    if rem:
+        raise NotDivisibleError("division left a nonzero remainder")
+
+    delta = tuple(shift_num[k] - shift_den[k] for k in r)
+    return LaurentPoly._raw(
+        rank, {tuple(e[k] + delta[k] for k in r): c for e, c in quotient.items()}
+    )
+
+
+def dominant_weights_in_box(a, top):
+    """Dominant weights mu with top - mu in the non-negative root lattice.
+
+    Scans the box of root-lattice depths c with c_i <= (top, l_i) / d_i and
+    keeps the dominant results.  Returns (weight coords, depth coords) sorted
+    by increasing depth height, then lexicographically.
+    """
+    r = a.rank
+    lam = WeightVec.weight(top)
+    bounds = []
+    for i in range(r):
+        cap = bilinear(a, lam, a.fundamental_weights[i]) / Fraction(a.root_norms[i], 2)
+        bounds.append(int(cap))
+    out = []
+    for depth in itertools.product(*(range(b + 1) for b in bounds)):
+        mu = tuple(
+            top[k] - sum(depth[i] * a.cartan[i][k] for i in range(r))
+            for k in range(r)
+        )
+        if all(x >= 0 for x in mu):
+            out.append((mu, depth))
+    out.sort(key=lambda t: (sum(t[1]), t[1]))
+    return out

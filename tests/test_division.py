@@ -11,11 +11,12 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import exact_div
 from weylchar import characters, tables
 from weylchar.algebra import WeightVec, build_algebra
 from weylchar.characters import character, divide_by_denominator, multiplicities
 from weylchar.errors import InputError, IntegrityError, NotDivisibleError
-from weylchar.laurent import LaurentPoly, divide_by_binomials, exact_div
+from weylchar.laurent import LaurentPoly, divide_by_binomials
 from weylchar.weylgroup import freudenthal_multiplicities, weyl_dimension
 
 

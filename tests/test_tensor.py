@@ -17,10 +17,17 @@ def algebra(name):
     return build_algebra(name[0], int(name[1:]))
 
 
+def total_dimension(dec):
+    return sum(
+        mult * weyl_dimension(dec.algebra, WeightVec.weight(w))
+        for w, mult in dec.summands
+    )
+
+
 def test_g2_golden_decomposition(g2):
     dec = tensor_decompose(g2, (1, 0), (1, 1))
     assert dec.as_dict() == golden_g2.TENSOR_L1_BY_L1L2
-    assert dec.total_dimension == 14 * 64 == 896
+    assert total_dimension(dec) == 14 * 64 == 896
 
 
 def test_summand_order_starts_at_the_sum(g2):
@@ -101,7 +108,7 @@ def test_dimension_conserved():
     ]:
         a = algebra(name)
         dec = tensor_decompose(a, u, v)
-        assert dec.total_dimension == (
+        assert total_dimension(dec) == (
             weyl_dimension(a, WeightVec.weight(u))
             * weyl_dimension(a, WeightVec.weight(v))
         )

@@ -1,15 +1,24 @@
 """Weyl group generation, direct alternants, dimension and multiplicity
 oracles."""
 
+import itertools
+import time
+
 import pytest
 
-from weylchar.algebra import WeightVec, build_algebra, weight_coords
+from oracles import dominant_weights_in_box
+from weylchar.algebra import (
+    ENVELOPE_MAX_ORDER,
+    WeightVec,
+    build_algebra,
+    check_envelope,
+    weight_coords,
+)
 from weylchar.errors import EnvelopeError, InputError
 from weylchar.linalg import identity, mat_mul
 from weylchar.weylgroup import (
-    ENVELOPE_MAX_ORDER,
+    _dominant_weights_below,
     alternant_direct,
-    check_envelope,
     freudenthal_multiplicities,
     generate,
     weyl_dimension,
@@ -178,3 +187,48 @@ def test_freudenthal_trivial(g2):
     assert freudenthal_multiplicities(g2, WeightVec.weight((0, 0))) == {
         (0, 0): 1
     }
+
+
+def descent_cases():
+    names = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+             "D4", "D5", "G2", "F4")
+    for name in names:
+        a = algebra(name)
+        for coords in itertools.product(range(2), repeat=a.rank):
+            yield a, coords
+        if a.rank <= 3:
+            yield a, (2,) * a.rank
+    e6 = build_algebra("E", 6)
+    yield e6, (0,) * 6
+    for i in range(6):
+        yield e6, tuple(int(k == i) for k in range(6))
+
+
+def test_descent_finds_the_box_in_the_same_order():
+    checked = 0
+    for a, coords in descent_cases():
+        assert _dominant_weights_below(a, coords) == dominant_weights_in_box(
+            a, coords
+        ), (a.name, coords)
+        checked += 1
+    assert checked == 169
+
+
+def test_freudenthal_on_e7_and_e8_without_the_group():
+    # E7 (0,...,0,1) is the 56, E7 (1,0,...,0) and E8 (0,...,0,1) the
+    # adjoint modules; none of them needs the Weyl group, which is refused
+    cases = [
+        ("E7", (0,) * 6 + (1,), 56, None),
+        ("E7", (1,) + (0,) * 6, 133, 7),
+        ("E8", (0,) * 7 + (1,), 248, 8),
+        ("E8", (1,) + (0,) * 7, 3875, None),
+    ]
+    t0 = time.perf_counter()
+    for name, coords, dim, zero in cases:
+        a = algebra(name)
+        w = WeightVec.weight(coords)
+        got = freudenthal_multiplicities(a, w)
+        assert sum(got.values()) == weyl_dimension(a, w) == dim
+        if zero is not None:
+            assert got[(0,) * a.rank] == zero == a.rank
+    assert time.perf_counter() - t0 < 5.0
