@@ -1,6 +1,6 @@
-"""Time interpreter start-up, `import weylchar` and two small CLI requests.
+"""Time interpreter start-up, `import weylchar` and three small CLI requests.
 
-Each of the four commands runs in a fresh process --repeat times, in
+Each of the five commands runs in a fresh process --repeat times, in
 round-robin order so that a slow spell of the host falls on all of them
 alike, and the best and the median wall time are printed in milliseconds:
 
@@ -10,6 +10,9 @@ alike, and the best and the median wall time are printed in milliseconds:
     python -m weylchar dimension ...    a request that does no table work
     python -m weylchar character ...    a request that builds the G2 table and
                                         divides; it loads 8 of the 10 modules
+    python -m weylchar tensor ...       G2 (1,1) x (0,2) in JSON, the median
+                                        kind of request of the cli-cold and
+                                        cli-warm benchmark workloads
 
 The children inherit the environment unchanged, so they import whichever
 source tree is on PYTHONPATH and keep the caller's bytecode-cache setting.
@@ -32,6 +35,8 @@ COMMANDS = (
                    "--weight", "1,1"]),
     ("character", ["-m", "weylchar", "character", "--algebra", "G2",
                    "--weight", "1,1"]),
+    ("tensor json", ["-m", "weylchar", "tensor", "--algebra", "G2",
+                     "--left", "1,1", "--right", "0,2", "--format", "json"]),
 )
 
 

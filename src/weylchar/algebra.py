@@ -18,9 +18,6 @@ G2, F4, and E6/E7/E8.  The E7 and E8 root data build fine, but operations
 that enumerate the Weyl group refuse them (see the envelope checks).
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import mul
@@ -37,8 +34,12 @@ def _normalize(x):
     """x as an int when it is integral, else as a Fraction.
 
     Only an int or a Fraction is taken: Fraction() would also take a float,
-    a Decimal or a string, and round or parse it on the way in.
+    a Decimal or a string, and round or parse it on the way in.  fractions
+    is imported on call here and in the few other functions that meet
+    non-integers, so that a command-line request never loads it.
     """
+    from fractions import Fraction
+
     if not isinstance(x, (int, Fraction)):
         raise InputError(f"coordinates must be int or Fraction, got {x!r}")
     f = Fraction(x)
@@ -381,6 +382,8 @@ def root_coords(a, v):
     _check_rank(a, v)
     if v.basis == ROOT:
         return v.coords
+    from fractions import Fraction
+
     return tuple(
         _normalize(Fraction(x, a.cartan_det))
         for x in linalg.vec_mat(v.coords, a.cartan_adjugate)
@@ -400,6 +403,8 @@ def to_basis(a, v, basis):
 
 def bilinear(a, v, w):
     """Invariant symmetric form (v, w), exact."""
+    from fractions import Fraction
+
     _check_rank(a, v)
     _check_rank(a, w)
     if v.basis == w.basis:
@@ -448,15 +453,15 @@ def _require_dominant_integral(a, v, what="weight"):
     return m
 
 
-def orbit(a, v):
-    """Weyl orbit of a dominant integral weight, canonically sorted.
+def _orbit_rows(cartan, m):
+    """Weyl orbit of the dominant weight-basis row m, as a set of rows.
 
-    The input must already be dominant; callers holding an arbitrary weight
-    should dominant_reduce first.
+    Walks down from m on plain tuples, reflecting a row in s_i only where
+    its coordinate i is positive.  That reaches the whole orbit: any other
+    element mu has some mu_i < 0, and s_i mu is one reflection nearer to m
+    and has coordinate i positive.
     """
-    m = _require_dominant_integral(a, v, what="orbit seed")
-    r = a.rank
-    cartan = a.cartan
+    r = len(m)
     seen = {m}
     frontier = [m]
     while frontier:
@@ -464,15 +469,25 @@ def orbit(a, v):
         for cur in frontier:
             for i in range(r):
                 ci = cur[i]
-                if ci == 0:
-                    continue  # reflection fixes this vector in direction i
+                if ci <= 0:
+                    continue
                 row = cartan[i]
-                img = tuple(cur[k] - ci * row[k] for k in range(r))
+                img = tuple([cur[k] - ci * row[k] for k in range(r)])
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
-    return tuple(WeightVec.weight(t) for t in sorted(seen))
+    return seen
+
+
+def orbit(a, v):
+    """Weyl orbit of a dominant integral weight, canonically sorted.
+
+    The input must already be dominant; callers holding an arbitrary weight
+    should dominant_reduce first.
+    """
+    m = _require_dominant_integral(a, v, what="orbit seed")
+    return tuple(WeightVec.weight(t) for t in sorted(_orbit_rows(a.cartan, m)))
 
 
 def _dominant_coords(cartan, m):

@@ -15,10 +15,8 @@ reconstructs it from the per-algebra table, "weyl" sums over the enumerated
 group.  The division itself is route-independent.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from . import linalg, tables
 from .algebra import WeightVec, _require_dominant_integral
@@ -120,18 +118,15 @@ def multiplicities(result):
     return dict(result.poly.terms)
 
 
-def _root_exponent_terms(a, poly):
-    """Terms of poly re-expressed with root-basis exponent rows.
+def _scaled_root_terms(a, poly):
+    """Terms of poly with root-basis exponent rows scaled by cartan_det.
 
-    A weight-basis row e has root-basis row e @ cartan_adjugate / cartan_det.
-    The terms are sorted on the integer rows e @ cartan_adjugate, which
-    orders them as the root-basis rows since cartan_det > 0, and a
-    coordinate becomes a Fraction only where the division leaves a
-    remainder, which happens whenever the weight and root lattices differ.
-    Sorted descending by total degree then lexicographically.
+    A weight-basis row e has root-basis row e @ cartan_adjugate / cartan_det;
+    this returns the integer rows e @ cartan_adjugate, which order the terms
+    as the root-basis rows do since cartan_det > 0.  Sorted descending by
+    total degree then lexicographically.
     """
-    det = a.cartan_det
-    scaled = sorted(
+    return sorted(
         (
             (linalg.vec_mat(e, a.cartan_adjugate), c)
             for e, c in poly.terms.items()
@@ -139,10 +134,6 @@ def _root_exponent_terms(a, poly):
         key=lambda t: (sum(t[0]), t[0]),
         reverse=True,
     )
-    return [
-        (tuple([Fraction(x, det) if x % det else x // det for x in n]), c)
-        for n, c in scaled
-    ]
 
 
 def alpha_variables(rank):
@@ -154,10 +145,12 @@ def alpha_variables(rank):
     return tuple(f"u{i + 1}" for i in range(rank))
 
 
-def _fmt_exponent(x):
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"({x.numerator}/{x.denominator})"
+def _fmt_exponent(n, det):
+    """The exponent n / det in lowest terms, parenthesised when not whole."""
+    g = gcd(n, det)
+    if g == det:
+        return str(n // det)
+    return f"({n // g}/{det // g})"
 
 
 def render_root_basis(a, poly):
@@ -169,16 +162,17 @@ def render_root_basis(a, poly):
     if poly.is_zero():
         return "0"
     names = alpha_variables(a.rank)
+    det = a.cartan_det
     chunks = []
-    for exps, coeff in _root_exponent_terms(a, poly):
+    for exps, coeff in _scaled_root_terms(a, poly):
         factors = []
-        for name, x in zip(names, exps):
-            if x == 0:
+        for name, n in zip(names, exps):
+            if n == 0:
                 continue
-            if x == 1:
+            if n == det:
                 factors.append(name)
             else:
-                factors.append(f"{name}^{_fmt_exponent(x)}")
+                factors.append(f"{name}^{_fmt_exponent(n, det)}")
         mag = abs(coeff)
         body = " ".join(factors) if factors else "1"
         if mag != 1 or not factors:
@@ -197,5 +191,16 @@ def present_alpha_basis(result):
 
 
 def alpha_basis_terms(result):
-    """Structured root-basis terms of a character, for exact comparisons."""
-    return _root_exponent_terms(result.algebra, result.poly)
+    """Structured root-basis terms of a character, for exact comparisons.
+
+    Each exponent row holds ints where the division by cartan_det is exact
+    and Fractions elsewhere, which happens whenever the weight and root
+    lattices differ.
+    """
+    from fractions import Fraction
+
+    det = result.algebra.cartan_det
+    return [
+        (tuple([Fraction(x, det) if x % det else x // det for x in n]), c)
+        for n, c in _scaled_root_terms(result.algebra, result.poly)
+    ]

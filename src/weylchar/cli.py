@@ -8,17 +8,23 @@ written to disk.
 
 JSON output is canonical: keys sorted, monomial lists ascending by total
 degree then lexicographically, so identical invocations are byte-identical.
+A small writer here produces exactly the bytes of json.dumps(obj,
+sort_keys=True, indent=2).
+
+The command line is read against one table of commands and options (see
+_COMMANDS): exact long option names, as `--opt value` or `--opt=value`, no
+abbreviations.  A usage error is bad input (exit 2, `error: ...` on
+stderr); -h or --help prints the usage text and exits 0.
 
 Each command imports the modules it runs inside its handler, so a request
 compiles and loads no module that it does not use: `dimension` never loads
-the tables, `gamma` never loads the Weyl group.
+the tables, `gamma` never loads the Weyl group.  No request loads argparse,
+json or fractions, which would cost more start-up than a small request's
+arithmetic.
 """
 
-from __future__ import annotations
-
-import argparse
-import json
 import sys
+from types import SimpleNamespace
 
 from .algebra import WeightVec, parse_algebra
 from .errors import EnvelopeError, InputError, IntegrityError
@@ -28,7 +34,8 @@ def _is_integer(text):
     """True for ASCII decimal digits with an optional leading '-'.
 
     int() also takes '_' between digits, a leading '+' and digits of other
-    scripts, none of which is a weight coordinate.
+    scripts, none of which the command line takes in a weight coordinate or
+    a --depth.
     """
     digits = text[1:] if text[:1] == "-" else text
     return digits.isascii() and digits.isdigit()
@@ -48,8 +55,66 @@ def _parse_weight(a, text, what="--weight"):
     return coords
 
 
+# characters a JSON string escapes by name; json.dumps writes the same
+_JSON_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
+    "\r": "\\r", "\t": "\\t",
+}
+
+
+def _json_char(ch):
+    escaped = _JSON_ESCAPES.get(ch)
+    if escaped is not None:
+        return escaped
+    if " " <= ch <= "~":
+        return ch
+    n = ord(ch)
+    if n > 0xFFFF:  # a UTF-16 surrogate pair
+        n -= 0x10000
+        return "\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF)
+    return "\\u%04x" % n
+
+
+def _json_str(text):
+    """text as an ASCII JSON string literal."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(map(_json_char, text)) + '"'
+
+
+def _json(obj, pad):
+    """obj as JSON, as json.dumps(obj, sort_keys=True, indent=2) writes it.
+
+    Takes only what the commands emit: dicts with str keys, lists, str,
+    bool and int.  pad is the indentation of the line obj starts on.
+    """
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return _json_str(obj)
+    inner = pad + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        items = [_json(x, inner) for x in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if not all(type(key) is str for key in obj):
+            raise TypeError("JSON object keys must be str")
+        items = [_json_str(key) + ": " + _json(obj[key], inner) for key in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
 def _emit_json(obj):
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(_json(obj, ""))
 
 
 def _sorted_monomials(poly):
@@ -267,25 +332,28 @@ def _cmd_verify(args):
     from . import tables
 
     a = parse_algebra(args.algebra)
-    if args.depth < 0:
-        raise InputError(f"--depth must be non-negative, got {args.depth}")
+    if not _is_integer(args.depth):
+        raise InputError(f"--depth must be an integer, got {args.depth!r}")
+    depth = int(args.depth)
+    if depth < 0:
+        raise InputError(f"--depth must be non-negative, got {depth}")
     table = tables.shared_table(a)
     checks = [
         {"name": name, "passed": passed, "detail": detail}
-        for name, passed, detail in _verify_checks(a, table, args.depth)
+        for name, passed, detail in _verify_checks(a, table, depth)
     ]
     all_ok = all(c["passed"] for c in checks)
     if args.format == "json":
         _emit_json(
             {
                 "algebra": a.name,
-                "depth": args.depth,
+                "depth": depth,
                 "passed": all_ok,
                 "checks": checks,
             }
         )
     else:
-        print(f"algebra: {a.name} (depth {args.depth})")
+        print(f"algebra: {a.name} (depth {depth})")
         for c in checks:
             mark = "ok  " if c["passed"] else "FAIL"
             print(f"  {mark} {c['name']}: {c['detail']}")
@@ -293,77 +361,136 @@ def _cmd_verify(args):
     return 0 if all_ok else 3
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="weylchar",
-        description=(
-            "Exact characters of irreducible representations of the simple "
-            "Lie algebras, via alternant-reconstruction tables built once "
-            "per algebra."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_DESCRIPTION = (
+    "Exact characters of irreducible representations of the simple Lie\n"
+    "algebras, via alternant-reconstruction tables built once per algebra."
+)
 
-    def common(p, method=False, weight=False):
-        p.add_argument("--algebra", required=True, help="algebra label, e.g. G2 or B3")
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output format"
+_HELP_FLAGS = ("-h", "--help")
+
+# option -> (its value's name in the usage text, or its choices; help)
+_OPTIONS = {
+    "--algebra": ("LABEL", "algebra label, e.g. G2 or B3"),
+    "--weight": ("WEIGHT", "dominant weight, e.g. 0,1"),
+    "--left": ("WEIGHT", "left highest weight, e.g. 1,0"),
+    "--right": ("WEIGHT", "right highest weight, e.g. 1,1"),
+    "--depth": ("N", "check all dominant weights with coordinates up to N"),
+    "--method": (("gamma", "weyl"), "alternant construction route"),
+    "--format": (("text", "json"), "output format"),
+    "--cache-dir": (
+        "DIR",
+        "ignored; accepted for compatibility (tables are built in memory "
+        "and never written to disk)",
+    ),
+}
+
+# command -> (handler, summary, required options, other options -> default)
+_COMMANDS = {
+    "character": (
+        _cmd_character, "character of one irreducible module",
+        ("--algebra", "--weight"), {"--method": "gamma"},
+    ),
+    "gamma": (_cmd_gamma, "print the reconstruction table", ("--algebra",), {}),
+    "tensor": (
+        _cmd_tensor, "decompose a tensor product",
+        ("--algebra", "--left", "--right"), {"--method": "gamma"},
+    ),
+    "verify": (
+        _cmd_verify, "run the invariant suite for one algebra",
+        ("--algebra",), {"--depth": "1"},
+    ),
+    "dimension": (
+        _cmd_dimension, "dimension of one irreducible module",
+        ("--algebra", "--weight"), {},
+    ),
+}
+
+# options every command takes, with their defaults
+_COMMON = {"--format": "text", "--cache-dir": None}
+
+
+def _usage(command=None):
+    """Help text of the program, or of one command, from the tables above."""
+    if command is None:
+        lines = ["usage: weylchar COMMAND [OPTIONS]", "", _DESCRIPTION, "", "commands:"]
+        lines += [f"  {name:<10}  {spec[1]}" for name, spec in _COMMANDS.items()]
+        lines += ["", "Run 'weylchar COMMAND --help' for the options of one command."]
+        return "\n".join(lines)
+    _handler, summary, required, optional = _COMMANDS[command]
+    optional = {**optional, **_COMMON}
+
+    def flag(option):
+        value = _OPTIONS[option][0]
+        return f"{option} {'|'.join(value) if type(value) is tuple else value}"
+
+    synopsis = [flag(o) for o in required] + [f"[{flag(o)}]" for o in optional]
+    lines = [f"usage: weylchar {command} {' '.join(synopsis)}", "", summary, "", "options:"]
+    rows = [("-h, --help", "show this help and exit")]
+    rows += [(flag(o), f"{_OPTIONS[o][1]} (required)") for o in required]
+    rows += [
+        (flag(o), _OPTIONS[o][1] + ("" if d is None else f" (default: {d})"))
+        for o, d in optional.items()
+    ]
+    width = max(len(left) for left, _ in rows)
+    lines += [f"  {left:<{width}}  {text}" for left, text in rows]
+    return "\n".join(lines)
+
+
+def _parse_args(argv):
+    """(handler, options) of one command line, or (None, help text).
+
+    Help is asked for by -h or --help anywhere after the command, or in
+    place of it.  Options are exact long names, given as `--opt value` or
+    `--opt=value`; a value given separately may not start with '--'.  Any
+    other form is a usage error, raised as InputError.
+    """
+    if not argv:
+        raise InputError(f"no command given; expected one of {', '.join(_COMMANDS)}")
+    command = argv[0]
+    if command in _HELP_FLAGS:
+        return None, _usage()
+    if command not in _COMMANDS:
+        raise InputError(
+            f"unknown command {command!r}; expected one of {', '.join(_COMMANDS)}"
         )
-        p.add_argument(
-            "--cache-dir",
-            default=None,
-            help="ignored; accepted for compatibility (tables are built in "
-            "memory and never written to disk)",
-        )
-        if method:
-            p.add_argument(
-                "--method",
-                choices=("gamma", "weyl"),
-                default="gamma",
-                help="alternant construction route",
+    if any(arg in _HELP_FLAGS for arg in argv[1:]):
+        return None, _usage(command)
+    handler, _summary, required, optional = _COMMANDS[command]
+    values = {**optional, **_COMMON}
+    args = iter(argv[1:])
+    for arg in args:
+        option, eq, value = arg.partition("=")
+        if option not in values and option not in required:
+            if arg.startswith("-"):
+                raise InputError(f"{command} takes no option {option}")
+            raise InputError(f"unexpected argument {arg!r}")
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                raise InputError(f"{option} needs a value")
+        choices = _OPTIONS[option][0]
+        if type(choices) is tuple and value not in choices:
+            raise InputError(
+                f"{option} must be one of {', '.join(choices)}, got {value!r}"
             )
-        if weight:
-            p.add_argument(
-                "--weight", required=True, help="dominant weight, e.g. 0,1"
-            )
-
-    p = sub.add_parser("character", help="character of one irreducible module")
-    common(p, method=True, weight=True)
-    p.set_defaults(func=_cmd_character)
-
-    p = sub.add_parser("gamma", help="print the reconstruction table")
-    common(p)
-    p.set_defaults(func=_cmd_gamma)
-
-    p = sub.add_parser("tensor", help="decompose a tensor product")
-    common(p, method=True)
-    p.add_argument("--left", required=True, help="left highest weight, e.g. 1,0")
-    p.add_argument("--right", required=True, help="right highest weight, e.g. 1,1")
-    p.set_defaults(func=_cmd_tensor)
-
-    p = sub.add_parser("verify", help="run the invariant suite for one algebra")
-    common(p)
-    p.add_argument(
-        "--depth",
-        type=int,
-        default=1,
-        help="check all dominant weights with coordinates up to this value",
+        values[option] = value
+    missing = [o for o in required if o not in values]
+    if missing:
+        raise InputError(f"{command} needs {' and '.join(missing)}")
+    return handler, SimpleNamespace(
+        **{o[2:].replace("-", "_"): v for o, v in values.items()}
     )
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("dimension", help="dimension of one irreducible module")
-    common(p)
-    p.add_argument("--weight", required=True, help="dominant weight, e.g. 1,1")
-    p.set_defaults(func=_cmd_dimension)
-
-    return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        return args.func(args)
+        handler, parsed = _parse_args(argv)
+        if handler is None:
+            print(parsed)  # the help text
+            return 0
+        return handler(parsed)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

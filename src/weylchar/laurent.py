@@ -10,8 +10,6 @@ divided this way.  Generic long division is kept only in the tests, as the
 independent reference.
 """
 
-from __future__ import annotations
-
 from .errors import InputError, NotDivisibleError
 
 

@@ -4,8 +4,6 @@ Row convention throughout: vectors are rows, and a matrix M acts on a row
 vector v as v @ M.  Row i of M is the image of the i-th basis vector.
 """
 
-from __future__ import annotations
-
 from operator import mul
 
 

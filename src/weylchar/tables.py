@@ -29,10 +29,7 @@ memory only: shared_table builds each algebra's table once per process,
 which takes milliseconds up to rank 5 (scripts/time_tables.py).
 """
 
-from __future__ import annotations
-
 import struct
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import mul, xor
@@ -415,6 +412,8 @@ def entry_exponents(table, entry, weight):
     Equals 2 (l_i - g_i, rho + weight) / (a_i, a_i) coordinate by
     coordinate.
     """
+    from fractions import Fraction
+
     a = table.algebra
     m = _require_dominant_integral(a, weight)
     vec = tuple(x + 1 for x in m)
@@ -464,6 +463,8 @@ def exponent_forms(table):
     Substituting concrete coordinates reproduces alternant() exactly after
     the root-to-weight basis change.
     """
+    from fractions import Fraction
+
     a = table.algebra
     out = []
     for entry in table.entries:

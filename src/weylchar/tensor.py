@@ -13,8 +13,6 @@ Every net coefficient must come out non-negative; a negative value means an
 upstream bug and raises IntegrityError rather than being patched.
 """
 
-from __future__ import annotations
-
 from . import linalg, weylgroup
 from .algebra import WeightVec, _dominant_coords, _require_dominant_integral
 from .characters import character

@@ -16,17 +16,14 @@ multiplicities never touch the group and work on every type, E7 and E8
 included.
 """
 
-from __future__ import annotations
-
 from operator import mul
 
 from . import linalg
 from .algebra import (
-    WeightVec,
     _dominant_coords,
+    _orbit_rows,
     _require_dominant_integral,
     check_envelope,
-    orbit,
     pair_with_root,
 )
 from .errors import IntegrityError
@@ -232,8 +229,6 @@ def freudenthal_multiplicities(a, weight):
 
     full = {}
     for mu, mult in dominant.items():
-        if mult == 0:
-            continue
-        for w in orbit(a, WeightVec.weight(mu)):
-            full[w.coords] = mult
+        if mult:
+            full.update(dict.fromkeys(_orbit_rows(cartan, mu), mult))
     return full

@@ -1,4 +1,5 @@
-"""Command-line interface: subcommands, formats, exit codes, the ignored --cache-dir."""
+"""Command-line interface: subcommands, formats, exit codes, the ignored
+--cache-dir, argument parsing and the JSON writer."""
 
 import json
 import shutil
@@ -8,9 +9,10 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 import golden_g2
-from weylchar import characters, tables, tensor, weylgroup
+from weylchar import characters, cli, tables, tensor, weylgroup
 from weylchar.algebra import build_algebra
 from weylchar.characters import character
 from weylchar.cli import main
@@ -19,8 +21,17 @@ from weylchar.laurent import LaurentPoly
 
 
 def run(capsys, *argv):
+    """(exit code, stdout, stderr) of one request.
+
+    Every JSON output must also be exactly what json.dumps writes for the
+    value it holds.
+    """
     code = main(list(argv))
     captured = capsys.readouterr()
+    if code == 0 and ("json" in argv or "--format=json" in argv):
+        assert captured.out == json.dumps(
+            json.loads(captured.out), sort_keys=True, indent=2
+        ) + "\n"
     return code, captured.out, captured.err
 
 
@@ -159,12 +170,12 @@ def test_verify_rejects_negative_depth(capsys, monkeypatch):
 
     monkeypatch.setattr(tables, "shared_table", no_table)
     for fmt in ("text", "json"):
-        code, out, err = run(
-            capsys, "verify", "--algebra", "B2", "--depth", "-1",
-            "--format", fmt,
-        )
-        assert code == 2
-        assert err.startswith("error:") and "--depth" in err and out == ""
+        for depth in (["--depth", "-1"], ["--depth=-1"]):
+            code, out, err = run(
+                capsys, "verify", "--algebra", "B2", *depth, "--format", fmt,
+            )
+            assert code == 2 and out == ""
+            assert err == "error: --depth must be non-negative, got -1\n"
 
 
 def test_exit_code_2_on_bad_input(capsys):
@@ -178,6 +189,84 @@ def test_exit_code_2_on_bad_input(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["nope"],
+    ["--algebra", "G2", "character", "--weight", "1,0"],
+    ["character", "--weight", "1,0"],
+    ["tensor", "--algebra", "G2", "--left", "1,0"],
+    ["character", "--algebra", "G2", "--weight", "1,0", "--colour", "red"],
+    ["gamma", "--algebra", "G2", "--weight", "1,0"],
+    ["character", "--alg", "G2", "--weight", "1,0"],
+    ["character", "--algebra", "G2", "--weight"],
+    ["character", "--algebra", "--weight", "1,0"],
+    ["dimension", "--algebra", "G2", "--weight", "1,0", "extra"],
+    ["gamma", "--algebra", "G2", "--format", "xml"],
+    ["gamma", "--algebra", "G2", "--format=JSON"],
+    ["character", "--algebra", "G2", "--weight", "1,0", "--method", "freud"],
+    ["verify", "--algebra", "G2", "--depth", "x"],
+    ["verify", "--algebra", "G2", "--depth=+1"],
+], ids=[
+    "no-command", "unknown-command", "option-before-command",
+    "missing-algebra", "missing-right", "unknown-option",
+    "option-of-another-command", "abbreviated-option", "no-value-at-end",
+    "no-value-before-option", "stray-argument", "bad-format",
+    "format-is-case-sensitive", "bad-method", "depth-not-a-number",
+    "depth-with-plus",
+])
+def test_usage_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_exits_0(capsys, flag):
+    code, out, err = run(capsys, flag)
+    assert code == 0 and err == "" and out.startswith("usage: weylchar COMMAND")
+    assert all(f"\n  {command} " in out for command in cli._COMMANDS)
+    for command, (_, _, required, optional) in cli._COMMANDS.items():
+        # help wins over any other argument, good or bad
+        for argv in ([command, flag], [command, "--algebra", "Q9", "--bad", flag]):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            assert out.startswith(f"usage: weylchar {command} --algebra ")
+            assert all(f"\n  {o} " in out for o in [*required, *optional])
+
+
+def test_options_take_either_form(capsys):
+    spaced = run(capsys, "tensor", "--algebra", "G2", "--left", "1,0",
+                 "--right", "0,1", "--method", "weyl", "--format", "json")
+    joined = run(capsys, "tensor", "--algebra=G2", "--left=1,0", "--right=0,1",
+                 "--method=weyl", "--format=json")
+    reordered = run(capsys, "tensor", "--format", "json", "--right", "0,1",
+                    "--method=weyl", "--left", "1,0", "--algebra", "G2")
+    assert spaced[0] == 0 and spaced == joined == reordered
+
+
+_ODD_CHARS = '"\\/\x00\x08\t\n\x0c\r\x1f \x7f\x80\xe9\u2028\uffff\U0001f600\U0010ffff'
+_TEXT = st.text(st.sampled_from(_ODD_CHARS) | st.characters(), max_size=12)
+_VALUES = st.recursive(
+    st.integers() | st.booleans() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value, "") == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    None, 1.5, (1, 2), {1: 2}, {"a": {("b",): 1}}, [set()], b"x",
+])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json(value, "")
 
 
 @pytest.mark.parametrize("weight", [

@@ -182,6 +182,35 @@ def test_cli_request_loads_only_what_it_runs(argv, modules):
         assert loaded_by_cli_import(*modules, argv=argv + ["--format", fmt]) == []
 
 
+# one request of each kind the command-line benchmark runs
+REQUEST_KINDS = [
+    ["character", "--algebra", "G2", "--weight", "1,1"],
+    ["character", "--algebra", "G2", "--weight", "1,1", "--method", "weyl"],
+    ["tensor", "--algebra", "G2", "--left", "1,1", "--right", "0,2"],
+    ["verify", "--algebra", "B3", "--depth", "1"],
+    ["gamma", "--algebra", "B3"],
+    ["dimension", "--algebra", "D5", "--weight", "1,0,0,0,1"],
+]
+
+# standard-library modules no request needs: argument parsing, the json
+# package, rationals and what each of them pulls in
+HEAVY = (
+    "argparse", "json", "fractions", "decimal", "numbers", "gettext",
+    "locale", "__future__",
+)
+
+
+@pytest.mark.parametrize(
+    "argv", REQUEST_KINDS,
+    ids=["character-gamma", "character-weyl", "tensor", "verify", "gamma",
+         "dimension"],
+)
+def test_cli_request_loads_no_heavy_module(argv, tmp_path):
+    for fmt in ("text", "json"):
+        request = argv + ["--format", fmt, "--cache-dir", str(tmp_path)]
+        assert loaded_by_cli_import(*HEAVY, argv=request) == []
+
+
 def test_lazy_exports_are_the_module_attributes():
     listed = [name for names in weylchar._EXPORTS.values() for name in names]
     assert sorted(listed) == weylchar.__all__  # each name under one module
