@@ -1,5 +1,6 @@
 """Time the per-algebra stages: orbit drops, table build, group generation,
-one alternant by either route, and the Freudenthal recursion at rho.
+one alternant by either route, and the Freudenthal recursion and one
+character at rho.
 
 Each stage is run --repeat times per algebra and the best wall time is
 printed in milliseconds:
@@ -12,6 +13,8 @@ printed in milliseconds:
     alt W       the same alternants summed directly over a group
                 generated once, outside the timing
     freud ρ     freudenthal_multiplicities at the Weyl vector rho
+    char ρ      characters.character at rho by the table route, from empty
+                caches, so the table build is included
 
 To compare two checkouts, run the script against each source tree:
 
@@ -22,6 +25,7 @@ import argparse
 import itertools
 import time
 
+from weylchar import characters, tables
 from weylchar.algebra import WeightVec, parse_algebra
 from weylchar.tables import alternant, build_table, orbit_drops
 from weylchar.weylgroup import alternant_direct, freudenthal_multiplicities, generate
@@ -48,6 +52,12 @@ def sample_weights(rank, count):
     return [WeightVec.weight(c) for c in box[:count]]
 
 
+def character_from_empty_caches(a):
+    characters._character_cached.cache_clear()
+    tables.shared_table.cache_clear()
+    characters.character(a, a.weyl_vector)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5,
@@ -60,7 +70,8 @@ def main():
 
     print(
         f"{'algebra':>8} {'|W|':>6} {'drops':>9} {'build':>9} "
-        f"{'generate':>9} {'alt table':>10} {'alt W':>9} {'freud ρ':>9}"
+        f"{'generate':>9} {'alt table':>10} {'alt W':>9} {'freud ρ':>9} "
+        f"{'char ρ':>9}"
     )
     for name in args.algebras:
         a = parse_algebra(name)
@@ -83,9 +94,11 @@ def main():
         freud = best_ms(
             lambda: freudenthal_multiplicities(a, a.weyl_vector), args.repeat
         )
+        char = best_ms(lambda: character_from_empty_caches(a), args.repeat)
         print(
             f"{a.name:>8} {table.size:>6} {drops:>7.1f}ms {build:>7.1f}ms "
-            f"{gen:>7.1f}ms {alt_table:>8.3f}ms {alt_w:>7.3f}ms {freud:>7.1f}ms"
+            f"{gen:>7.1f}ms {alt_table:>8.3f}ms {alt_w:>7.3f}ms {freud:>7.1f}ms "
+            f"{char:>7.1f}ms"
         )
 
 

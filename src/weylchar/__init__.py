@@ -1,11 +1,13 @@
 """Exact characters of irreducible representations of simple Lie algebras.
 
-The package computes the numerator of the classical character formula two
-independent ways: by reconstructing it from a once-per-algebra table of
-root-lattice vectors, and by summing over the enumerated Weyl group.  All
-arithmetic is exact (integers and fractions), and the two routes are
-cross-checked against each other, against the Freudenthal multiplicity
-recursion, and against the Weyl dimension formula.
+The package computes the alternants of the classical character formula two
+independent ways: by reconstructing them from a once-per-algebra table of
+root-lattice vectors, and by summing over the enumerated Weyl group.  A
+character is read off the denominator alternant alone, by Racah's
+recursion, with no division.  All arithmetic is exact (integers and
+fractions), and the two routes are cross-checked against each other,
+against the Freudenthal multiplicity recursion, and against the Weyl
+dimension formula.
 
 Importing the package loads none of its modules.  Each public name below is
 imported from its module the first time it is used (PEP 562), so a caller
@@ -29,6 +31,7 @@ _EXPORTS = {
         "parse_algebra",
         "reflect",
         "to_basis",
+        "weyl_dimension",
         "weyl_order",
     ),
     "characters": (
@@ -60,7 +63,6 @@ _EXPORTS = {
         "alternant_direct",
         "freudenthal_multiplicities",
         "generate",
-        "weyl_dimension",
     ),
 }
 

@@ -480,6 +480,20 @@ def _orbit_rows(cartan, m):
     return seen
 
 
+def _spread_orbits(cartan, dominant):
+    """The full weight-to-multiplicity map from the dominant multiplicities.
+
+    A character is W-invariant, so each dominant weight passes its
+    multiplicity to every row of its orbit (_orbit_rows).  Weights of
+    multiplicity zero are left out.
+    """
+    full = {}
+    for mu, mult in dominant.items():
+        if mult:
+            full.update(dict.fromkeys(_orbit_rows(cartan, mu), mult))
+    return full
+
+
 def orbit(a, v):
     """Weyl orbit of a dominant integral weight, canonically sorted.
 
@@ -528,3 +542,57 @@ def pair_with_root(a, m, n):
     whenever both coordinate rows are integers, which is the hot case.
     """
     return sum(m[i] * n[i] * (a.root_norms[i] // 2) for i in range(a.rank))
+
+
+def weyl_dimension(a, weight):
+    """Dimension of the irreducible module, by the Weyl product formula."""
+    m = _require_dominant_integral(a, weight)
+    shifted = tuple(x + 1 for x in m)
+    ones = (1,) * a.rank
+    num = 1
+    den = 1
+    for alpha in a.positive_roots:
+        n = alpha.coords
+        num *= pair_with_root(a, shifted, n)
+        den *= pair_with_root(a, ones, n)
+    q, rem = divmod(num, den)
+    if rem:
+        raise IntegrityError("Weyl dimension product did not come out integral")
+    return q
+
+
+def _root_rows(a):
+    """(weight-basis row, root-basis row) of each positive root."""
+    return [
+        (nw, alpha.coords)
+        for nw, alpha in zip(a.positive_roots_weight, a.positive_roots)
+    ]
+
+
+def _dominant_weights_below(a, top):
+    """Dominant weights mu with top - mu in the non-negative root lattice.
+
+    Found by descent from top: subtract each positive root and keep the
+    dominant results.  Every dominant weight below top is reached this way
+    through dominant weights only (Stembridge, "The partial order of dominant
+    weights", Adv. Math. 136 (1998), Cor. 2.7).  Returns a list of (weight
+    coords, depth coords) sorted by increasing depth height, which is the
+    order the Freudenthal and Racah recursions need; the depth is top - mu
+    in the root basis, so it determines mu and the order is total.
+    """
+    r = range(a.rank)
+    steps = _root_rows(a)
+    top = tuple(top)
+    depth_of = {top: (0,) * a.rank}
+    frontier = [top]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            depth = depth_of[mu]
+            for nw, n in steps:
+                nu = tuple([mu[k] - nw[k] for k in r])
+                if nu not in depth_of and min(nu) >= 0:
+                    depth_of[nu] = tuple([depth[k] + n[k] for k in r])
+                    nxt.append(nu)
+        frontier = nxt
+    return sorted(depth_of.items(), key=lambda t: (sum(t[1]), t[1]))

@@ -1,28 +1,46 @@
 """Characters of irreducible highest-weight modules.
 
-A character is the exact Laurent-polynomial quotient of the alternant built
-at the highest weight by the Weyl denominator.  By Weyl's denominator
-identity that denominator is e^rho prod_(a > 0) (1 - e^-a) =
-e^-rho prod_(a > 0) (e^a - 1), so the numerator is divided by one binomial
-e^a - 1 per positive root and the quotient translated by rho; the
-denominator alternant is never built.  Exponent rows of the quotient are
-weight-basis coordinates of genuine weights of the module, so the
-coefficient map *is* the multiplicity map with no re-centering left to the
-caller.
+A character is computed from the Weyl denominator A_rho alone, by Racah's
+recursion.  Comparing the coefficients of e^(mu + rho) in
+chi_lambda A_rho = A_(lambda + rho) (Humphreys, Introduction to Lie Algebras
+and Representation Theory, section 24) gives, for every dominant mu other
+than lambda,
 
-Two construction routes exist for the numerator and must agree: "gamma"
-reconstructs it from the per-algebra table, "weyl" sums over the enumerated
-group.  The division itself is route-independent.
+    m(mu) = - sum over w != 1 of sgn(w) m(dom(mu + rho - w rho)),
+
+where dom is the dominant representative of a Weyl orbit.  Only the w with
+rho - w rho <= lambda - mu in the root order contribute, so the terms of
+A_rho are read once, sorted by the height of rho - w rho, and each mu scans
+the prefix no higher than lambda - mu.  The dominant multiplicities are then
+spread over their orbits.  The result is the coefficient map of the
+character: exponent rows are weight-basis coordinates of the weights of the
+module.
+
+Two construction routes exist for A_rho and must agree: "gamma" reads it
+from the per-algebra table, "weyl" sums over the enumerated group.  The
+recursion itself is route-independent.  Every multiplicity must come out
+positive and their sum must equal the Weyl dimension; otherwise
+IntegrityError is raised, as a corrupted A_rho would cause.
 """
 
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import islice
 from math import gcd
+from operator import add, le
 
 from . import linalg, tables
-from .algebra import WeightVec, _require_dominant_integral
+from .algebra import (
+    WeightVec,
+    _dominant_coords,
+    _dominant_weights_below,
+    _require_dominant_integral,
+    _spread_orbits,
+    weyl_dimension,
+)
 from .errors import InputError, IntegrityError
 from .frozen import Frozen
-from .laurent import LaurentPoly, divide_by_binomials
+from .laurent import LaurentPoly
 
 METHODS = ("gamma", "weyl")
 
@@ -51,27 +69,13 @@ class CharacterResult(Frozen):
         )
 
 
-def divide_by_denominator(a, num):
-    """Exact quotient of an alternant by the Weyl denominator of a.
-
-    Divides by e^a - 1 for each positive root a, highest roots first (ties
-    in descending root coordinates), then multiplies by e^rho.  The order is
-    fixed because it keeps the intermediate quotients small (F4 at
-    (0,0,0,1): at most 3588 terms, against 8766 lowest roots first).  A
-    numerator that is not divisible raises NotDivisibleError, an
-    IntegrityError.
-    """
-    quotient = divide_by_binomials(num, reversed(a.positive_roots_weight))
-    return quotient.translate((1,) * a.rank)
-
-
 def character(a, weight, method="gamma"):
     """Character of the irreducible module with the given highest weight.
 
     weight may be a WeightVec or a row of weight-basis coordinates.  Method
-    "gamma" reads the process-wide table, "weyl" sums over a Weyl group
-    generated for the call.  The result is cached per (algebra, weight,
-    method).
+    "gamma" reads A_rho from the process-wide table, "weyl" sums it over a
+    Weyl group generated for the call.  The result is cached per (algebra,
+    weight, method).
     """
     if not isinstance(weight, WeightVec):
         weight = WeightVec.weight(tuple(weight))
@@ -81,32 +85,75 @@ def character(a, weight, method="gamma"):
 
 @lru_cache(maxsize=None)
 def _character_cached(a, m, method):
+    zero = WeightVec.weight((0,) * a.rank)
     if method == "gamma":
-        num = tables.alternant(tables.shared_table(a), WeightVec.weight(m))
+        denominator = tables.alternant(tables.shared_table(a), zero)
     elif method == "weyl":
         from . import weylgroup  # only this route enumerates the group
 
-        num = weylgroup.alternant_direct(a, WeightVec.weight(m))
+        denominator = weylgroup.alternant_direct(a, zero)
     else:
         raise InputError(
             f"unknown method {method!r}; expected one of {METHODS}"
         )
-    poly = divide_by_denominator(a, num)
-    top = poly.coeff(m)
-    if top != 1:
+    highest = WeightVec.weight(m)
+    dominant = _racah(a, m, _shifts(a, denominator))
+    terms = _spread_orbits(a.cartan, dominant)
+    dimension = sum(terms.values())
+    if dimension != weyl_dimension(a, highest):
         raise IntegrityError(
-            f"character of {a.name} at {m} has coefficient {top} at its "
-            "highest weight; expected exactly 1"
+            f"character of {a.name} at {m} has dimension {dimension}, "
+            "not the Weyl dimension"
         )
-    if any(c <= 0 for c in poly.terms.values()):
-        raise IntegrityError("character has a non-positive multiplicity")
     return CharacterResult(
         algebra=a,
-        highest_weight=WeightVec.weight(m),
-        poly=poly,
-        dimension=poly.eval_ones(),
+        highest_weight=highest,
+        poly=LaurentPoly._raw(a.rank, terms),
+        dimension=dimension,
         method=method,
     )
+
+
+def _shifts(a, denominator):
+    """The terms sgn(w) e^(w rho) of A_rho with w != 1, as shifts rho - w rho.
+
+    Each is (height, root row, weight row, sign), sorted by height; rho - w rho
+    is a sum of positive roots, so its root row is a non-negative integer row.
+    """
+    det = a.cartan_det
+    out = []
+    for e, sign in denominator.terms.items():
+        row = tuple([1 - x for x in e])
+        if any(row):
+            root = tuple([x // det for x in linalg.vec_mat(row, a.cartan_adjugate)])
+            out.append((sum(root), root, row, sign))
+    out.sort()
+    return out
+
+
+def _racah(a, top, shifts):
+    """Dominant multiplicities below top, by Racah's recursion on the shifts.
+
+    The weights come in order of increasing depth, and dom(mu + s) lies
+    strictly higher than mu, so its multiplicity is known when mu is reached;
+    a dominant weight not below top is no weight of the module and counts 0.
+    """
+    heights = [t[0] for t in shifts]
+    cartan = a.cartan
+    dominant = {}
+    for mu, depth in _dominant_weights_below(a, top):
+        if not any(depth):
+            dominant[mu] = 1
+            continue
+        acc = 0
+        for _, root, row, sign in islice(shifts, bisect_right(heights, sum(depth))):
+            if all(map(le, root, depth)):
+                nu = _dominant_coords(cartan, map(add, mu, row))[0]
+                acc -= sign * dominant.get(nu, 0)
+        if acc <= 0:
+            raise IntegrityError("character has a non-positive multiplicity")
+        dominant[mu] = acc
+    return dominant
 
 
 def multiplicities(result):

@@ -26,7 +26,7 @@ arithmetic.
 import sys
 from types import SimpleNamespace
 
-from .algebra import WeightVec, parse_algebra
+from .algebra import WeightVec, parse_algebra, weyl_dimension
 from .errors import EnvelopeError, InputError, IntegrityError
 
 
@@ -191,7 +191,6 @@ def _cmd_gamma(args):
 
 def _cmd_tensor(args):
     from .tensor import tensor_decompose
-    from .weylgroup import weyl_dimension
 
     a = parse_algebra(args.algebra)
     lm = _parse_weight(a, args.left, what="--left")
@@ -241,8 +240,6 @@ def _cmd_tensor(args):
 
 
 def _cmd_dimension(args):
-    from .weylgroup import weyl_dimension
-
     a = parse_algebra(args.algebra)
     m = _parse_weight(a, args.weight)
     dim = weyl_dimension(a, WeightVec.weight(m))
@@ -262,7 +259,7 @@ def _verify_checks(a, table, depth):
     from . import tables, weylgroup
     from .algebra import orbit, weyl_order
     from .characters import character, multiplicities
-    from .weylgroup import freudenthal_multiplicities, weyl_dimension
+    from .weylgroup import freudenthal_multiplicities
 
     group = weylgroup.generate(a)
     expected = weyl_order(a.family, a.rank)

@@ -4,13 +4,12 @@ A polynomial is a finitely supported map from integer exponent rows of fixed
 length (the rank) to nonzero integer coefficients.  Arithmetic is exact with
 arbitrary-precision coefficients; no floating point anywhere.
 
-Exact division is by a product of binomials e^d - 1 (divide_by_binomials),
-one factor at a time, with a running sum along each d-string; characters are
-divided this way.  Generic long division is kept only in the tests, as the
-independent reference.
+Characters are not divided out of alternants (weylchar.characters), so this
+module has no division.  Generic long division is kept only in the tests, as
+the independent reference.
 """
 
-from .errors import InputError, NotDivisibleError
+from .errors import InputError
 
 
 class LaurentPoly:
@@ -155,82 +154,3 @@ class LaurentPoly:
     def __repr__(self):
         n = len(self.terms)
         return f"LaurentPoly(rank={self.rank}, terms={n})"
-
-
-def divide_by_binomials(poly, steps):
-    """Exact quotient of poly by the product of (e^d - 1) over the rows d.
-
-    One pass per factor, in the order given: the terms are walked along
-    their d-strings from the bottom up, keeping the running sum
-    q(e) = q(e - d) - p(e), which is the quotient's coefficient at e.  The
-    quotient exists exactly when the running sum returns to zero at the top
-    of every string; otherwise NotDivisibleError is raised.  The quotient
-    does not depend on the order of the factors; the sizes of the
-    intermediate quotients do.
-
-    During the passes an exponent row is packed into one integer, one digit
-    per coordinate, so a step along d is one integer addition.  An exact
-    quotient by a binomial stays inside the span of each string it divides,
-    so every intermediate quotient lies in the bounding box of poly's
-    support.  Each digit is three box widths wide with the box in its middle
-    third, and a walk is cut off (as not divisible) after the most steps
-    along d that fit inside the box, so no walk carries from one digit into
-    the next.
-    """
-    if not isinstance(poly, LaurentPoly):
-        raise InputError("divide_by_binomials expects a LaurentPoly")
-    rank = poly.rank
-    r = range(rank)
-    steps = [tuple(d) for d in steps]
-    for d in steps:
-        if len(d) != rank or not all(isinstance(x, int) for x in d):
-            raise InputError(f"binomial exponent {d} is not an integer row of length {rank}")
-        if not any(d):
-            raise InputError("division by e^0 - 1, the zero polynomial")
-    if poly.is_zero():
-        return LaurentPoly.zero(rank)
-
-    lo = tuple(map(min, zip(*poly.terms)))
-    hi = tuple(map(max, zip(*poly.terms)))
-    width = [hi[k] - lo[k] + 1 for k in r]
-    place = []
-    p = 1
-    for k in r:
-        place.append(p)
-        p *= 3 * width[k]
-    terms = {
-        sum((e[k] - lo[k] + width[k]) * place[k] for k in r): c
-        for e, c in poly.terms.items()
-    }
-
-    for d in steps:
-        delta = sum(d[k] * place[k] for k in r)
-        reach = min((hi[k] - lo[k]) // abs(d[k]) for k in r if d[k])
-        quotient = {}
-        for start in sorted(terms, reverse=delta < 0):
-            c = terms.pop(start, 0)
-            if not c:
-                continue  # already consumed by a walk from lower on its string
-            pos = start
-            s = -c
-            n = 0
-            while s:
-                quotient[pos] = s
-                n += 1
-                if n > reach:
-                    raise NotDivisibleError(
-                        f"division by e^{d} - 1 leaves a nonzero running sum "
-                        "at the top of a string"
-                    )
-                pos += delta
-                s -= terms.pop(pos, 0)
-        terms = quotient
-
-    out = {}
-    for key, c in terms.items():
-        e = []
-        for k in r:
-            key, digit = divmod(key, 3 * width[k])
-            e.append(digit - width[k] + lo[k])
-        out[tuple(e)] = c
-    return LaurentPoly._raw(rank, out)

@@ -13,8 +13,13 @@ Every net coefficient must come out non-negative; a negative value means an
 upstream bug and raises IntegrityError rather than being patched.
 """
 
-from . import linalg, weylgroup
-from .algebra import WeightVec, _dominant_coords, _require_dominant_integral
+from . import linalg
+from .algebra import (
+    WeightVec,
+    _dominant_coords,
+    _require_dominant_integral,
+    weyl_dimension,
+)
 from .characters import character
 from .errors import IntegrityError
 from .frozen import Frozen
@@ -61,7 +66,7 @@ def tensor_decompose(a, left, right, method="gamma"):
     rm = _require_dominant_integral(a, right, what="right highest weight")
 
     small, big = lm, rm
-    if weylgroup.weyl_dimension(a, left) > weylgroup.weyl_dimension(a, right):
+    if weyl_dimension(a, left) > weyl_dimension(a, right):
         small, big = rm, lm
     shifted = tuple(x + 1 for x in big)  # lambda + rho
     cartan = a.cartan

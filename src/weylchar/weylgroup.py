@@ -1,19 +1,21 @@
-"""Weyl group enumeration and the direct route to characters.
+"""Weyl group enumeration, the direct alternant and the Freudenthal recursion.
 
 Everything here is independent of the reconstruction tables in
-weylchar.tables: the group is generated as matrices, the character-formula
-numerator is summed term by term over the group, dimensions come from the
-Weyl product formula, and weight multiplicities from the Freudenthal
-recursion.  The table machinery is cross-checked against these routes.
+weylchar.tables: the group is generated as matrices, and the character-formula
+alternant is summed term by term over it.  Weight multiplicities come from
+the Freudenthal recursion, which never touches the group and works on every
+type, E7 and E8 included.  The table route and the characters are
+cross-checked against these.
 
 Group elements are integer matrices acting on weight-basis coordinate rows
 (v maps to v @ M).  Generation refuses algebras whose group order exceeds
 ENVELOPE_MAX_ORDER = |W(E6)|; anything beyond that (the order of W(E8) is
 696729600) is out of scope for full enumeration here.  The envelope and its
 check_envelope live in weylchar.algebra, next to weyl_order, so that the
-tables can apply it without loading this module.  Dimensions and
-multiplicities never touch the group and work on every type, E7 and E8
-included.
+tables can apply it without loading this module.  So do weyl_dimension and
+the descent to the dominant weights, which the characters also need.
+weyl_dimension stays readable as weylgroup.weyl_dimension for the callers
+that look it up here.
 """
 
 from operator import mul
@@ -21,10 +23,13 @@ from operator import mul
 from . import linalg
 from .algebra import (
     _dominant_coords,
-    _orbit_rows,
+    _dominant_weights_below,
     _require_dominant_integral,
+    _root_rows,
+    _spread_orbits,
     check_envelope,
     pair_with_root,
+    weyl_dimension,
 )
 from .errors import IntegrityError
 from .frozen import Frozen
@@ -126,60 +131,6 @@ def alternant_direct(a, weight, group=None):
     return LaurentPoly._raw(a.rank, terms)
 
 
-def weyl_dimension(a, weight):
-    """Dimension of the irreducible module, by the Weyl product formula."""
-    m = _require_dominant_integral(a, weight)
-    shifted = tuple(x + 1 for x in m)
-    ones = (1,) * a.rank
-    num = 1
-    den = 1
-    for alpha in a.positive_roots:
-        n = alpha.coords
-        num *= pair_with_root(a, shifted, n)
-        den *= pair_with_root(a, ones, n)
-    q, rem = divmod(num, den)
-    if rem:
-        raise IntegrityError("Weyl dimension product did not come out integral")
-    return q
-
-
-def _root_rows(a):
-    """(weight-basis row, root-basis row) of each positive root."""
-    return [
-        (nw, alpha.coords)
-        for nw, alpha in zip(a.positive_roots_weight, a.positive_roots)
-    ]
-
-
-def _dominant_weights_below(a, top):
-    """Dominant weights mu with top - mu in the non-negative root lattice.
-
-    Found by descent from top: subtract each positive root and keep the
-    dominant results.  Every dominant weight below top is reached this way
-    through dominant weights only (Stembridge, "The partial order of dominant
-    weights", Adv. Math. 136 (1998), Cor. 2.7).  Returns a list of (weight
-    coords, depth coords) sorted by increasing depth height, which is the
-    order the Freudenthal recursion needs; the depth is top - mu in the root
-    basis, so it determines mu and the order is total.
-    """
-    r = range(a.rank)
-    steps = _root_rows(a)
-    top = tuple(top)
-    depth_of = {top: (0,) * a.rank}
-    frontier = [top]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            depth = depth_of[mu]
-            for nw, n in steps:
-                nu = tuple([mu[k] - nw[k] for k in r])
-                if nu not in depth_of and min(nu) >= 0:
-                    depth_of[nu] = tuple([depth[k] + n[k] for k in r])
-                    nxt.append(nu)
-        frontier = nxt
-    return sorted(depth_of.items(), key=lambda t: (sum(t[1]), t[1]))
-
-
 def freudenthal_multiplicities(a, weight):
     """Weight multiplicities of the irreducible module, by recursion.
 
@@ -227,8 +178,4 @@ def freudenthal_multiplicities(a, weight):
             )
         dominant[mu] = value
 
-    full = {}
-    for mu, mult in dominant.items():
-        if mult:
-            full.update(dict.fromkeys(_orbit_rows(cartan, mu), mult))
-    return full
+    return _spread_orbits(cartan, dominant)

@@ -16,7 +16,7 @@ from weylchar import characters, cli, tables, tensor, weylgroup
 from weylchar.algebra import build_algebra
 from weylchar.characters import character
 from weylchar.cli import main
-from weylchar.errors import IntegrityError, NotDivisibleError
+from weylchar.errors import IntegrityError
 from weylchar.laurent import LaurentPoly
 
 
@@ -317,23 +317,23 @@ def test_exit_code_3_on_failed_verification(capsys, monkeypatch):
     assert out.endswith("result: FAILED\n")
 
 
-def test_exit_code_3_on_indivisible_numerator(capsys, monkeypatch):
+def test_exit_code_3_on_corrupted_denominator(capsys, monkeypatch):
     real = tables.alternant
 
-    def one_coefficient_changed(table, weight):
-        num = real(table, weight)
-        terms = dict(num.terms)
-        top = max(terms)
-        terms[top] += 1
-        return LaurentPoly(num.rank, terms)
+    def one_sign_flipped(table, weight):
+        den = real(table, weight)
+        terms = dict(den.terms)
+        terms[(-1, 4)] *= -1  # the term of s_1 rho = rho - a_1
+        return LaurentPoly(den.rank, terms)
 
-    monkeypatch.setattr(tables, "alternant", one_coefficient_changed)
+    monkeypatch.setattr(tables, "alternant", one_sign_flipped)
     characters._character_cached.cache_clear()
-    with pytest.raises(NotDivisibleError):
+    with pytest.raises(IntegrityError):
         character(build_algebra("G", 2), (1, 0))
     code, out, err = run(capsys, "character", "--algebra", "G2", "--weight", "1,0")
     assert code == 3
     assert err.startswith("error:") and out == ""
+    characters._character_cached.cache_clear()
 
 
 def test_exit_code_3_on_negative_tensor_multiplicity(capsys, monkeypatch):

@@ -1,27 +1,35 @@
-"""Division by the Weyl denominator, one positive root at a time.
+"""Characters by Racah's recursion on the Weyl denominator A_rho.
 
-The factor-wise quotient is held equal to generic long division by the
-denominator alternant, non-divisible numerators must be refused, and the
-larger characters it makes affordable are checked against the Freudenthal
-recursion and the Weyl dimension formula.
+The recursion is held equal to generic long division of the numerator
+alternant by the denominator alternant under both methods.  A corrupted
+A_rho, or a table built from altered coroot rows, must be refused, and the
+larger characters the recursion makes affordable are checked against the
+Freudenthal recursion and the Weyl dimension formula.
 """
 
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
 
 from oracles import exact_div
 from weylchar import characters, tables
 from weylchar.algebra import WeightVec, build_algebra
-from weylchar.characters import character, divide_by_denominator, multiplicities
-from weylchar.errors import InputError, IntegrityError, NotDivisibleError
-from weylchar.laurent import LaurentPoly, divide_by_binomials
+from weylchar.characters import character, multiplicities
+from weylchar.errors import IntegrityError
+from weylchar.laurent import LaurentPoly
 from weylchar.weylgroup import freudenthal_multiplicities, weyl_dimension
 
 
 def algebra(name):
     return build_algebra(name[0], int(name[1:]))
+
+
+@pytest.fixture
+def fresh_characters():
+    """Character cache emptied before and after a test that corrupts inputs."""
+    characters._character_cached.cache_clear()
+    yield
+    characters._character_cached.cache_clear()
 
 
 def oracle_cases():
@@ -39,27 +47,14 @@ def test_matches_long_division_by_the_denominator_alternant():
         table = tables.shared_table(a)
         num = tables.alternant(table, WeightVec.weight(coords))
         den = tables.alternant(table, WeightVec.weight((0,) * a.rank))
-        assert divide_by_denominator(a, num).terms == exact_div(num, den).terms
+        want = exact_div(num, den).terms
+        for method in ("gamma", "weyl"):
+            assert character(a, coords, method).poly.terms == want
         checked += 1
     assert checked == 2 + 4 + 4 + 4 + 8 + 8 + 8 + 16 + 5
 
 
-@pytest.mark.parametrize("name, coords", [
-    ("A1", (3,)), ("G2", (1, 0)), ("B3", (0, 1, 1)), ("D4", (0, 0, 1, 1)),
-])
-def test_non_divisible_numerator_is_refused(name, coords):
-    a = algebra(name)
-    num = tables.alternant(tables.shared_table(a), WeightVec.weight(coords))
-    for e in sorted(num.terms)[:: max(1, len(num) // 4)]:
-        for delta in (1, -1, 2):
-            terms = dict(num.terms)
-            terms[e] += delta
-            with pytest.raises(NotDivisibleError) as info:
-                divide_by_denominator(a, LaurentPoly(a.rank, terms))
-            assert isinstance(info.value, IntegrityError)
-
-
-def test_character_builds_only_the_numerator(monkeypatch):
+def test_character_builds_only_the_denominator(monkeypatch, fresh_characters):
     a = algebra("B3")
     built = []
     real = tables.alternant
@@ -69,49 +64,81 @@ def test_character_builds_only_the_numerator(monkeypatch):
         return real(table, weight)
 
     monkeypatch.setattr(tables, "alternant", counting)
-    characters._character_cached.cache_clear()
     character(a, (0, 1, 1))
-    assert built == [(0, 1, 1)]
+    character(a, (1, 0, 0))
+    assert built == [(0, 0, 0)] * 2
+
+
+def test_every_flipped_sign_of_the_denominator_is_caught(
+    g2, monkeypatch, fresh_characters
+):
+    den = tables.alternant(tables.shared_table(g2), WeightVec.weight((0, 0)))
+    genuine = character(g2, (1, 1)).poly
+    caught = []
+    for e in sorted(den.terms):
+        terms = dict(den.terms)
+        terms[e] = -terms[e]
+        flipped = LaurentPoly(g2.rank, terms)
+        monkeypatch.setattr(tables, "alternant", lambda table, weight: flipped)
+        characters._character_cached.cache_clear()
+        try:
+            got = character(g2, (1, 1)).poly
+        except IntegrityError as exc:
+            caught.append(str(exc))
+        else:
+            assert got == genuine, e  # a flip that slips through changes nothing
+    # positivity is checked first, as the recursion goes; the dimension
+    # catches the flips that keep every multiplicity positive
+    assert sum("non-positive multiplicity" in m for m in caught) == 2
+    assert sum("not the Weyl dimension" in m for m in caught) == 2
+    assert len(caught) == 4
+
+
+def test_altered_coroot_rows_are_refused(g2, monkeypatch, fresh_characters):
+    """Every one-step change of a G2 coroot row that the build accepts gives
+    an A_rho with a repeated exponent row, which character refuses."""
+    real = tables._candidate_profiles
+    sizes = [len(slot) for slot in tables.shared_table(g2).candidates]
+    built = 0
+    for slot, size in enumerate(sizes):
+        for x in range(size):
+            for k, step in itertools.product(range(g2.rank), (1, -1)):
+
+                def altered(a, cands):
+                    vrows, grows, hrows = real(a, cands)
+                    rows = [list(hs) for hs in hrows]
+                    row = list(rows[slot][x])
+                    row[k] += step
+                    rows[slot][x] = tuple(row)
+                    return vrows, grows, tuple(map(tuple, rows))
+
+                monkeypatch.setattr(tables, "_candidate_profiles", altered)
+                try:
+                    table = tables.build_table(g2)
+                except IntegrityError:
+                    continue
+                finally:
+                    monkeypatch.setattr(tables, "_candidate_profiles", real)
+                built += 1
+                monkeypatch.setattr(tables, "shared_table", lambda a: table)
+                characters._character_cached.cache_clear()
+                with pytest.raises(IntegrityError, match="repeated exponent row"):
+                    character(g2, (1, 0))
+    assert built == 8
 
 
 def test_f4_and_d5_against_recursion_and_dimension():
-    for name in ("F4", "D5"):
+    """F4 and D5 at their fundamental weights and rho; E6 at 0 and its
+    fundamental weights."""
+    cases = []
+    for name in ("F4", "D5", "E6"):
         a = algebra(name)
         weights = [tuple(1 if k == i else 0 for k in range(a.rank))
                    for i in range(a.rank)]
-        weights.append((1,) * a.rank)
-        for coords in weights:
-            w = WeightVec.weight(coords)
-            res = character(a, w)
-            assert multiplicities(res) == freudenthal_multiplicities(a, w)
-            assert res.dimension == weyl_dimension(a, w)
-
-
-@st.composite
-def poly_and_steps(draw):
-    r = draw(st.integers(1, 3))
-    row = st.tuples(*[st.integers(-3, 3)] * r)
-    terms = draw(st.dictionaries(row, st.integers(-5, 5), max_size=5))
-    steps = draw(st.lists(row.filter(any), max_size=4))
-    return LaurentPoly(r, terms), steps
-
-
-@given(poly_and_steps())
-def test_binomial_division_round_trip(ps):
-    p, steps = ps
-    product = p
-    for d in steps:
-        product = product * LaurentPoly(p.rank, {d: 1, (0,) * p.rank: -1})
-    assert divide_by_binomials(product, steps) == p
-    assert divide_by_binomials(product, steps[::-1]) == p
-
-
-def test_binomial_division_input_errors():
-    p = LaurentPoly(2, {(1, 0): 1})
-    with pytest.raises(InputError):
-        divide_by_binomials(p, [(0, 0)])
-    with pytest.raises(InputError):
-        divide_by_binomials(p, [(1,)])
-    with pytest.raises(NotDivisibleError):
-        divide_by_binomials(p, [(1, 0)])
-    assert divide_by_binomials(LaurentPoly.zero(2), [(1, 0)]).is_zero()
+        weights.append((0,) * a.rank if name == "E6" else (1,) * a.rank)
+        cases += [(a, w) for w in weights]
+    for a, coords in cases:
+        w = WeightVec.weight(coords)
+        res = character(a, w)
+        assert multiplicities(res) == freudenthal_multiplicities(a, w)
+        assert res.dimension == weyl_dimension(a, w)

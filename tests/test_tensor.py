@@ -6,7 +6,7 @@ import pytest
 
 import golden_g2
 from oracles import peel_decompose
-from weylchar import characters, tables, weylgroup
+from weylchar import characters, tensor, weylgroup
 from weylchar.algebra import WeightVec, build_algebra
 from weylchar.errors import InputError
 from weylchar.tensor import tensor_decompose
@@ -72,18 +72,16 @@ def test_matches_peeling_on_larger_products(name, u, v, method):
 
 
 def test_gamma_route_computes_one_character(g2, monkeypatch):
-    built = []
-    real = tables.alternant
+    computed = []
+    real = tensor.character
 
-    def counting(table, weight):
-        built.append(tuple(weight.coords))
-        return real(table, weight)
+    def counting(a, weight, method="gamma"):
+        computed.append(tuple(weight))
+        return real(a, weight, method)
 
-    monkeypatch.setattr(tables, "alternant", counting)
-    tables.shared_table.cache_clear()
-    characters._character_cached.cache_clear()
+    monkeypatch.setattr(tensor, "character", counting)
     tensor_decompose(g2, (1, 0), (1, 1))
-    assert built == [(1, 0)]  # the smaller factor only
+    assert computed == [(1, 0)]  # the smaller factor only
 
 
 def test_a1_clebsch_gordan():
