@@ -44,7 +44,6 @@ _EXPORTS = {
         "EnvelopeError",
         "InputError",
         "IntegrityError",
-        "NotDivisibleError",
         "WeylcharError",
     ),
     "laurent": ("LaurentPoly",),

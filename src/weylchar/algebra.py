@@ -98,8 +98,9 @@ class Algebra(Frozen):
     gram_weight_scaled the form on weight-basis rows times cartan_det, so
     that both stay integer.
     positive_roots_weight holds the raw integer weight-basis rows of
-    positive_roots, in the same order; the character division and the
-    signature expansion both take their factors from it.
+    positive_roots, in the same order; the Freudenthal and Racah descents
+    read it through _root_rows, and the signature expansion takes its
+    factors from it.
     """
 
     __slots__ = (
@@ -116,34 +117,6 @@ class Algebra(Frozen):
         "cartan_adjugate",         # integer entries
         "cartan_det",              # int, positive
     )
-
-    def __init__(
-        self,
-        family,
-        rank,
-        cartan,
-        root_norms,
-        positive_roots,
-        positive_roots_weight,
-        fundamental_weights,
-        weyl_vector,
-        gram_root,
-        gram_weight_scaled,
-        cartan_adjugate,
-        cartan_det,
-    ):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "cartan", cartan)
-        object.__setattr__(self, "root_norms", root_norms)
-        object.__setattr__(self, "positive_roots", positive_roots)
-        object.__setattr__(self, "positive_roots_weight", positive_roots_weight)
-        object.__setattr__(self, "fundamental_weights", fundamental_weights)
-        object.__setattr__(self, "weyl_vector", weyl_vector)
-        object.__setattr__(self, "gram_root", gram_root)
-        object.__setattr__(self, "gram_weight_scaled", gram_weight_scaled)
-        object.__setattr__(self, "cartan_adjugate", cartan_adjugate)
-        object.__setattr__(self, "cartan_det", cartan_det)
 
     @property
     def name(self):
@@ -233,45 +206,44 @@ def _cartan_and_norms(family, rank):
 
 
 def _positive_root_coords(cartan):
-    """All positive roots in root-basis coordinates, built height by height.
+    """All positive roots in root-basis coordinates, by height then lex.
 
-    Uses the string property: for a root b and simple root a_j with p the
-    length of the string below b, the string above has length p - <b, a_j*>.
+    Closes the simple roots under the reflections that go up: where
+    <b, a_j*> < 0, s_j b = b - <b, a_j*> a_j is a higher positive root.
+    Every non-simple positive root b is such a step up from the lower root
+    s_j b, for any j with <b, a_j*> > 0.
     """
     r = len(cartan)
-    roots = {tuple(1 if k == i else 0 for k in range(r)) for i in range(r)}
-    level = sorted(roots)
+    level = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
+    roots = set(level)
     while level:
         nxt = []
         for n in level:
-            m = linalg.vec_mat(n, cartan)  # weight coords of the root
-            for j in range(r):
-                p = 0
-                probe = list(n)
-                while True:
-                    probe[j] -= 1
-                    if probe[j] < 0 or tuple(probe) not in roots:
-                        break
-                    p += 1
-                if p - m[j] >= 1:
-                    up = list(n)
-                    up[j] += 1
-                    t = tuple(up)
-                    if t not in roots:
-                        roots.add(t)
-                        nxt.append(t)
-        level = sorted(set(nxt))
+            for j, c in enumerate(linalg.vec_mat(n, cartan)):  # <b, a_j*>
+                if c < 0:
+                    up = n[:j] + (n[j] - c,) + n[j + 1:]
+                    if up not in roots:
+                        roots.add(up)
+                        nxt.append(up)
+        level = nxt
     return sorted(roots, key=lambda n: (sum(n), n))
 
 
-@lru_cache(maxsize=None)
 def build_algebra(family, rank):
-    """Construct (and intern) the root system of one simple algebra."""
-    family = str(family).upper()
-    try:
+    """The root system of one simple algebra, built once per type.
+
+    family is a letter in either case, rank an int or a string of ASCII
+    digits; every spelling of one type returns the same object.
+    """
+    if type(rank) is str and rank.isascii() and rank.isdigit():
         rank = int(rank)
-    except (TypeError, ValueError):
-        raise InputError(f"rank must be an integer, got {rank!r}") from None
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise InputError(f"rank must be an integer, got {rank!r}")
+    return _build_algebra(str(family).upper(), int(rank))
+
+
+@lru_cache(maxsize=None)
+def _build_algebra(family, rank):
     if family in _RANK_BOUNDS:
         if rank < _RANK_BOUNDS[family]:
             raise InputError(
@@ -335,6 +307,10 @@ def build_algebra(family, rank):
     )
 
 
+# under the public name for the callers that empty it, as perfbench does
+build_algebra.cache_clear = _build_algebra.cache_clear
+
+
 def _adjugate(m):
     """Integer adjugate of a square integer matrix, by cofactors."""
     n = len(m)
@@ -357,9 +333,18 @@ def parse_algebra(label):
     if len(label) < 2 or not label[0].isalpha():
         raise InputError(f"cannot parse algebra label {label!r}; expected e.g. 'G2'")
     family, digits = label[0].upper(), label[1:]
-    if not digits.isdigit():
+    if not (digits.isascii() and digits.isdigit()):
         raise InputError(f"cannot parse algebra label {label!r}; expected e.g. 'B3'")
     return build_algebra(family, int(digits))
+
+
+def _root_key(a, e):
+    """Sort key of the weight-basis row e: height, then lex, in the root basis.
+
+    Uses e @ cartan_adjugate, the root row times cartan_det > 0, in integers.
+    """
+    n = linalg.vec_mat(e, a.cartan_adjugate)
+    return sum(n), n
 
 
 def _check_rank(a, v):

@@ -35,6 +35,7 @@ from .algebra import (
     _dominant_coords,
     _dominant_weights_below,
     _require_dominant_integral,
+    _root_key,
     _spread_orbits,
     weyl_dimension,
 )
@@ -53,13 +54,6 @@ class CharacterResult(Frozen):
         "dimension",        # int
         "method",           # str
     )
-
-    def __init__(self, algebra, highest_weight, poly, dimension, method):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "highest_weight", highest_weight)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "method", method)
 
     def __repr__(self):
         coords = list(self.highest_weight.coords)
@@ -169,18 +163,11 @@ def _scaled_root_terms(a, poly):
     """Terms of poly with root-basis exponent rows scaled by cartan_det.
 
     A weight-basis row e has root-basis row e @ cartan_adjugate / cartan_det;
-    this returns the integer rows e @ cartan_adjugate, which order the terms
-    as the root-basis rows do since cartan_det > 0.  Sorted descending by
-    total degree then lexicographically.
+    this returns the integer rows e @ cartan_adjugate, sorted descending by
+    _root_key.
     """
-    return sorted(
-        (
-            (linalg.vec_mat(e, a.cartan_adjugate), c)
-            for e, c in poly.terms.items()
-        ),
-        key=lambda t: (sum(t[0]), t[0]),
-        reverse=True,
-    )
+    ranked = sorted([(_root_key(a, e), c) for e, c in poly.terms.items()])
+    return [(n, c) for (_, n), c in reversed(ranked)]
 
 
 def alpha_variables(rank):

@@ -13,9 +13,5 @@ class IntegrityError(WeylcharError):
     """An internal consistency check failed: a bug, or corrupted data."""
 
 
-class NotDivisibleError(IntegrityError):
-    """Exact polynomial division left a nonzero remainder."""
-
-
 class EnvelopeError(WeylcharError):
     """The requested computation exceeds the supported size envelope."""

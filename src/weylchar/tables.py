@@ -87,6 +87,8 @@ class TableEntry(Frozen):
 
     __slots__ = ("selector", "signature")
 
+    # its own constructor: a table builds |W| entries, and the generic one of
+    # Frozen would double the cost of that loop
     def __init__(self, selector, signature):
         object.__setattr__(self, "selector", selector)
         object.__setattr__(self, "signature", signature)
@@ -107,13 +109,6 @@ class AlternantTable(Frozen):
         "coroots",      # per slot: integer rows h, one per candidate
         "levels",       # per slot: (parents, candidates) of the selector trie
     )
-
-    def __init__(self, algebra, candidates, entries, coroots, levels):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "coroots", coroots)
-        object.__setattr__(self, "levels", levels)
 
     @property
     def size(self):
@@ -223,27 +218,29 @@ def _pack(row):
     return sum(x << (_DIGIT * k) for k, x in enumerate(row))
 
 
-def _walk(levels, start, shifts, width, bound):
+def _walk(levels, start, scalars, rows):
     """Packed rows of the trie's last level: start minus each path's shifts.
 
-    start and shifts[k][c], the row that candidate c of slot k subtracts,
-    are rows of width coordinates packed by _pack.  A node's row is
-    computed once, as one integer subtraction, and shared by every selector
-    through it.  Each coordinate e comes back as the 64-bit digit e + 2^63,
-    whose top bit is clear exactly when e < 0 (_unpack decodes them).
-    bound caps the absolute value of every coordinate along the way: each
-    must fit a signed 64-bit digit, and an EnvelopeError is raised up front
-    if one may not.
+    Candidate c of slot k subtracts scalars[k][c] times rows[k], integer rows
+    as wide as start.  A node's row is one subtraction of packed integers
+    (_pack), shared by every selector through it.  Each coordinate e comes
+    back as the 64-bit digit e + 2^63, whose top bit is clear exactly when
+    e < 0 (_unpack decodes them).  Every coordinate along the way must fit a
+    signed 64-bit digit, or an EnvelopeError is raised up front.
     """
+    bound = max(map(abs, start)) + sum(
+        max(map(abs, ts)) * max(map(abs, row)) for ts, row in zip(scalars, rows)
+    )
     if bound >= _HALF:
         raise EnvelopeError(
             f"exponent rows may reach {bound}, past the signed 64-bit "
             "coordinates of the table walk"
         )
-    rows = [start + _pack([_HALF] * width)]   # every digit non-negative
+    shifts = [[t * p for t in ts] for ts, p in zip(scalars, map(_pack, rows))]
+    out = [_pack([x + _HALF for x in start])]   # every digit non-negative
     for (parents, cands), shift in zip(levels, shifts):
-        rows = [rows[p] - shift[c] for p, c in zip(parents, cands)]
-    return rows
+        out = [out[p] - shift[c] for p, c in zip(parents, cands)]
+    return out
 
 
 def _unpack(rows, width):
@@ -280,16 +277,10 @@ def _entries(a, selectors, levels, hrows):
     rho = [sum(map(mul, n, d)) for n in roots]   # (rho, alpha)
     simple = [[sum(map(mul, row, n)) for n in roots] for row in a.gram_root]
     totals = [[sum(h) for h in hats] for hats in hrows]
-    bound = max(rho) + sum(
-        max(map(abs, ts)) * max(map(abs, ps)) for ts, ps in zip(totals, simple)
-    )
-    shifts = [[t * p for t in ts] for ts, p in zip(totals, map(_pack, simple))]
     top = _pack([_HALF] * npos)   # the top bit of every digit
     ones = _pack([1] * npos)
     entries = []
-    for selector, row in zip(
-        selectors, _walk(levels, _pack(rho), shifts, npos, bound)
-    ):
+    for selector, row in zip(selectors, _walk(levels, rho, totals, simple)):
         kept = (row & top).bit_count()   # digits >= 0
         if ((row - ones) & top).bit_count() != kept:
             raise IntegrityError(
@@ -379,11 +370,7 @@ def alternant(table, weight):
     m = _require_dominant_integral(a, weight)
     vec = tuple([x + 1 for x in m])
     dots = [[sum(map(mul, h, vec)) for h in hats] for hats in table.coroots]
-    bound = max(vec) + sum(
-        max(map(abs, ts)) * max(map(abs, crow)) for ts, crow in zip(dots, a.cartan)
-    )
-    shifts = [[t * row for t in ts] for ts, row in zip(dots, map(_pack, a.cartan))]
-    rows = _unpack(_walk(table.levels, _pack(vec), shifts, a.rank, bound), a.rank)
+    rows = _unpack(_walk(table.levels, vec, dots, a.cartan), a.rank)
     terms = dict(zip(rows, [e.signature for e in table.entries]))
     if len(terms) != len(rows):
         raise IntegrityError("table produced a repeated exponent row")
@@ -431,11 +418,6 @@ class AffineExponents(Frozen):
     """
 
     __slots__ = ("signature", "constant", "linear")
-
-    def __init__(self, signature, constant, linear):
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "linear", linear)
 
     def evaluate(self, s):
         r = len(self.constant)

@@ -13,11 +13,11 @@ Every net coefficient must come out non-negative; a negative value means an
 upstream bug and raises IntegrityError rather than being patched.
 """
 
-from . import linalg
 from .algebra import (
     WeightVec,
     _dominant_coords,
     _require_dominant_integral,
+    _root_key,
     weyl_dimension,
 )
 from .characters import character
@@ -34,20 +34,8 @@ class Decomposition(Frozen):
                       # graded-lex order on root-basis coordinates
     )
 
-    def __init__(self, algebra, left, right, summands):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "summands", summands)
-
     def as_dict(self):
         return dict(self.summands)
-
-
-def _root_key(a, e):
-    # root coordinates times cartan_det > 0, which keeps their order
-    n = linalg.vec_mat(e, a.cartan_adjugate)
-    return (sum(n), n)
 
 
 def tensor_decompose(a, left, right, method="gamma"):

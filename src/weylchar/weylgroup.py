@@ -44,11 +44,6 @@ class WeylGroup(Frozen):
         "signatures",
     )
 
-    def __init__(self, algebra, elements, signatures):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "signatures", signatures)
-
     @property
     def order(self):
         return len(self.elements)

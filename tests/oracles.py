@@ -4,11 +4,15 @@ import heapq
 import itertools
 from fractions import Fraction
 
-from weylchar.algebra import WeightVec, bilinear
+from weylchar import linalg
+from weylchar.algebra import WeightVec, _root_key, bilinear
 from weylchar.characters import character
-from weylchar.errors import InputError, IntegrityError, NotDivisibleError
+from weylchar.errors import InputError, IntegrityError
 from weylchar.laurent import LaurentPoly
-from weylchar.tensor import _root_key
+
+
+class NotDivisibleError(IntegrityError):
+    """Exact polynomial division left a nonzero remainder."""
 
 
 def inverse_frac(m):
@@ -186,3 +190,35 @@ def dominant_weights_in_box(a, top):
             out.append((mu, depth))
     out.sort(key=lambda t: (sum(t[1]), t[1]))
     return out
+
+
+def root_string_positive_roots(cartan):
+    """All positive roots in root-basis coordinates, built height by height.
+
+    Uses the string property: for a root b and simple root a_j with p the
+    length of the string below b, the string above has length p - <b, a_j*>.
+    """
+    r = len(cartan)
+    roots = {tuple(1 if k == i else 0 for k in range(r)) for i in range(r)}
+    level = sorted(roots)
+    while level:
+        nxt = []
+        for n in level:
+            m = linalg.vec_mat(n, cartan)  # weight coords of the root
+            for j in range(r):
+                p = 0
+                probe = list(n)
+                while True:
+                    probe[j] -= 1
+                    if probe[j] < 0 or tuple(probe) not in roots:
+                        break
+                    p += 1
+                if p - m[j] >= 1:
+                    up = list(n)
+                    up[j] += 1
+                    t = tuple(up)
+                    if t not in roots:
+                        roots.add(t)
+                        nxt.append(t)
+        level = sorted(set(nxt))
+    return sorted(roots, key=lambda n: (sum(n), n))

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import inverse_frac
+from oracles import inverse_frac, root_string_positive_roots
 
 from weylchar.algebra import (
     WeightVec,
+    _positive_root_coords,
     bilinear,
     build_algebra,
     dominant_reduce,
@@ -23,8 +24,10 @@ from weylchar.algebra import (
     weight_coords,
     weyl_order,
 )
-from weylchar.errors import InputError
+from weylchar.errors import InputError, IntegrityError
 from weylchar.linalg import vec_mat
+from weylchar.tables import shared_table
+from weylchar.weylgroup import alternant_direct, generate
 
 SUPPORTED = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2", "F4")
 
@@ -106,12 +109,26 @@ def test_root_norm_goldens():
 
 def test_positive_root_counts():
     counts = {
-        "A1": 1, "A2": 3, "A3": 6, "B2": 4, "B3": 9, "C2": 4, "C3": 9,
-        "D4": 12, "G2": 6, "F4": 24,
+        "A1": 1, "A2": 3, "A3": 6, "B2": 4, "B3": 9, "B4": 16, "C2": 4,
+        "C3": 9, "C4": 16, "D4": 12, "D5": 20, "G2": 6, "F4": 24, "E6": 36,
+        "E7": 63, "E8": 120,
     }
     for name, want in counts.items():
         assert len(algebra(name).positive_roots) == want
-    assert len(build_algebra("E", 6).positive_roots) == 36
+
+
+# every supported type up to rank 8
+ALL_TYPES = (
+    [f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
+    + [f"C{r}" for r in range(2, 9)] + [f"D{r}" for r in range(4, 9)]
+    + ["G2", "F4", "E6", "E7", "E8"]
+)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_reflection_closure_equals_root_strings(name):
+    cartan = algebra(name).cartan
+    assert _positive_root_coords(cartan) == root_string_positive_roots(cartan)
 
 
 def test_g2_positive_roots_golden(g2):
@@ -251,16 +268,31 @@ def test_is_dominant():
 def test_invalid_families_and_ranks():
     for family, rank in [
         ("D", 3), ("G", 3), ("F", 5), ("E", 5), ("E", 9), ("B", 1),
-        ("A", 0), ("H", 2),
+        ("A", 0), ("H", 2), ("A", 2.5), ("A", 2.0), ("G", True), ("A", None),
+        ("A", "x"), ("A", "-1"), ("A", "+2"), ("G", "\u00b2"), ("G", "\u0662"),
+        ("A", Fraction(2)),
     ]:
         with pytest.raises(InputError):
             build_algebra(family, rank)
+
+
+def test_every_spelling_of_a_type_is_one_object():
+    g2 = build_algebra("G", 2)
+    for family, rank in [("g", 2), ("G", "2"), ("g", "02")]:
+        assert build_algebra(family, rank) is g2
+    assert parse_algebra(" g2 ") is g2
+    assert shared_table(build_algebra("g", 2)) is shared_table(g2)
+    zero = WeightVec.weight((0, 0))
+    group = generate(build_algebra("G", "2"))
+    assert alternant_direct(g2, zero, group=group) == alternant_direct(g2, zero)
+    with pytest.raises(IntegrityError, match="different algebra"):
+        alternant_direct(build_algebra("A", 2), WeightVec.weight((0, 0)), group=group)
 
 
 def test_parse_algebra():
     assert parse_algebra("G2").name == "G2"
     assert parse_algebra("g2").name == "G2"
     assert parse_algebra(" d4 ").name == "D4"
-    for bad in ["", "G", "42", "QQ", "A0", "Gx2"]:
+    for bad in ["", "G", "42", "QQ", "A0", "Gx2", "G\u00b2", "B\u00b9", "G\u0662"]:
         with pytest.raises(InputError):
             parse_algebra(bad)

@@ -185,6 +185,10 @@ def test_exit_code_2_on_bad_input(capsys):
         ["character", "--algebra", "G2", "--weight", "1,x"],
         ["character", "--algebra", "G2", "--weight=-1,0"],
         ["dimension", "--algebra", "D3", "--weight", "1,1,1"],
+        # str.isdigit() takes superscripts; int() reads Arabic-Indic digits
+        ["dimension", "--algebra", "G\u00b2", "--weight", "1,0"],
+        ["dimension", "--algebra", "B\u00b9", "--weight", "1,0"],
+        ["dimension", "--algebra", "G\u0662", "--weight", "1,0"],
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2

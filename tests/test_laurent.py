@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import exact_div
-from weylchar.errors import InputError, NotDivisibleError
+from oracles import NotDivisibleError, exact_div
+from weylchar.errors import InputError
 from weylchar.laurent import LaurentPoly
 
 

@@ -67,6 +67,32 @@ def test_records_are_immutable(records, name, field):
     assert getattr(obj, field) is before
 
 
+# the records that take the constructor of Frozen
+GENERIC = ["Algebra", "AlternantTable", "AffineExponents", "WeylGroup",
+           "CharacterResult", "Decomposition"]
+
+
+@pytest.mark.parametrize("name", GENERIC)
+def test_records_refuse_missing_unknown_and_repeated_fields(records, name):
+    obj = records[0][name]
+    cls = type(obj)
+    assert "__init__" not in vars(cls)
+    fields = {f: getattr(obj, f) for f in cls.__slots__}
+    first, *rest = cls.__slots__
+    copy = cls(fields[first], **{f: fields[f] for f in rest})
+    assert all(getattr(copy, f) is fields[f] for f in fields)
+    missing = dict(fields)
+    del missing[rest[-1]]
+    for args, kwargs in [
+        ((), missing),                                   # missing
+        ((), {**fields, "extra": 1}),                    # unknown
+        ((fields[first],), fields),                      # repeated
+        ((*fields.values(), 1), {}),                     # one value too many
+    ]:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
 def test_weightvec_compares_by_value():
     v = WeightVec.weight((1, 0))
     assert v == WeightVec(coords=(1, 0), basis="weight")
