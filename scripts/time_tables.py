@@ -1,6 +1,6 @@
 """Time the per-algebra stages: orbit drops, table build, group generation,
 one alternant by either route, and the Freudenthal recursion and one
-character at rho.
+character at rho; and measure what one built table holds.
 
 Each stage is run --repeat times per algebra and the best wall time is
 printed in milliseconds:
@@ -16,14 +16,22 @@ printed in milliseconds:
     char ρ      characters.character at rho by the table route, from empty
                 caches, so the table build is included
 
+and, from one more build outside the timings,
+
+    held        the memory one built table holds, in MB (10^6 bytes): what
+                tracemalloc counts as allocated after the build and kept
+                alive by the table, less what was allocated before it
+
 To compare two checkouts, run the script against each source tree:
 
     PYTHONPATH=<checkout>/src python3 scripts/time_tables.py
 """
 
 import argparse
+import gc
 import itertools
 import time
+import tracemalloc
 
 from weylchar import characters, tables
 from weylchar.algebra import WeightVec, parse_algebra
@@ -40,6 +48,18 @@ def best_ms(fn, repeat):
         fn()
         times.append(time.perf_counter() - t0)
     return min(times) * 1e3
+
+
+def held_bytes(a):
+    """Bytes allocated by one build_table(a) that the table keeps alive."""
+    gc.collect()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    table = build_table(a)   # alive until the count is read
+    gc.collect()
+    held = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    return held
 
 
 def sample_weights(rank, count):
@@ -71,7 +91,7 @@ def main():
     print(
         f"{'algebra':>8} {'|W|':>6} {'drops':>9} {'build':>9} "
         f"{'generate':>9} {'alt table':>10} {'alt W':>9} {'freud ρ':>9} "
-        f"{'char ρ':>9}"
+        f"{'char ρ':>9} {'held':>9}"
     )
     for name in args.algebras:
         a = parse_algebra(name)
@@ -95,10 +115,11 @@ def main():
             lambda: freudenthal_multiplicities(a, a.weyl_vector), args.repeat
         )
         char = best_ms(lambda: character_from_empty_caches(a), args.repeat)
+        held = held_bytes(a) / 1e6
         print(
             f"{a.name:>8} {table.size:>6} {drops:>7.1f}ms {build:>7.1f}ms "
             f"{gen:>7.1f}ms {alt_table:>8.3f}ms {alt_w:>7.3f}ms {freud:>7.1f}ms "
-            f"{char:>7.1f}ms"
+            f"{char:>7.1f}ms {held:>7.3f}MB"
         )
 
 

@@ -26,26 +26,15 @@ arithmetic.
 import sys
 from types import SimpleNamespace
 
-from .algebra import WeightVec, parse_algebra, weyl_dimension
+from .algebra import WeightVec, parse_algebra, read_int, weyl_dimension
 from .errors import EnvelopeError, InputError, IntegrityError
-
-
-def _is_integer(text):
-    """True for ASCII decimal digits with an optional leading '-'.
-
-    int() also takes '_' between digits, a leading '+' and digits of other
-    scripts, none of which the command line takes in a weight coordinate or
-    a --depth.
-    """
-    digits = text[1:] if text[:1] == "-" else text
-    return digits.isascii() and digits.isdigit()
 
 
 def _parse_weight(a, text, what="--weight"):
     parts = [p.strip() for p in str(text).split(",")]
-    if not all(map(_is_integer, parts)):
+    coords = tuple(read_int(p, f"a {what} coordinate") for p in parts)
+    if None in coords:
         raise InputError(f"{what} must be comma-separated integers, got {text!r}")
-    coords = tuple(int(p) for p in parts)
     if len(coords) != a.rank:
         raise InputError(
             f"{what} has {len(coords)} coordinates but {a.name} has rank {a.rank}"
@@ -160,6 +149,7 @@ def _cmd_gamma(args):
 
     a = parse_algebra(args.algebra)
     table = tables.shared_table(a)
+    entries = zip(tables.selectors(table.levels), table.signatures)
     if args.format == "json":
         _emit_json(
             {
@@ -169,8 +159,8 @@ def _cmd_gamma(args):
                     [list(g.coords) for g in slot] for slot in table.candidates
                 ],
                 "entries": [
-                    {"selector": list(e.selector), "signature": e.signature}
-                    for e in table.entries
+                    {"selector": list(selector), "signature": sign}
+                    for selector, sign in entries
                 ],
             }
         )
@@ -183,9 +173,8 @@ def _cmd_gamma(args):
         for k, g in enumerate(slot, start=1):
             print(f"    {k}: {list(g.coords)}")
     print("entries (selector -> signature):")
-    for e in table.entries:
-        sign = "+1" if e.signature > 0 else "-1"
-        print(f"  {list(e.selector)}  {sign}")
+    for selector, sign in entries:
+        print(f"  {list(selector)}  {'+1' if sign > 0 else '-1'}")
     return 0
 
 
@@ -329,9 +318,9 @@ def _cmd_verify(args):
     from . import tables
 
     a = parse_algebra(args.algebra)
-    if not _is_integer(args.depth):
+    depth = read_int(args.depth, "--depth")
+    if depth is None:
         raise InputError(f"--depth must be an integer, got {args.depth!r}")
-    depth = int(args.depth)
     if depth < 0:
         raise InputError(f"--depth must be non-negative, got {depth}")
     table = tables.shared_table(a)

@@ -8,9 +8,7 @@ group when reconstructing:
 * For each slot i the candidate vectors are the differences l_i - mu with mu
   running over the Weyl orbit of the i-th fundamental weight l_i.  Each
   candidate lies in the positive root lattice and satisfies the diagonal
-  quadratic condition (l_i - g, l_i - g) = (l_i, l_i) automatically.  The
-  orbit walk carries the root coordinates of l_i - mu along, so they need
-  no change of basis.
+  quadratic condition (l_i - g, l_i - g) = (l_i, l_i) automatically.
 * A table entry selects one candidate per slot such that all cross products
   match: (l_i - g_i, l_j - g_j) = (l_i, l_j).  The selections are found by
   backtracking over slots ordered by ascending candidate count, pruning with
@@ -19,9 +17,12 @@ group when reconstructing:
   the Weyl group element w it stands for.  Its monomial for a dominant
   weight L is e^(U^-1(rho + L)); with g_i in coroot coordinates, scaled by
   1/d_i, as the rows h_i of H, U^-1 = I - H^T C for the Cartan matrix C.
-  An entry keeps only its selector and its sign det U = (-1)^l(w), read off
-  the pairings of U^-1 rho with the positive roots (_entries): integers
-  throughout: no determinant is taken and no map is stored.
+* The table stores each selector once, as a leaf of the trie of sorted
+  selectors (_selector_trie), and one sign det U = (-1)^l(w) per leaf, read
+  off the pairings of U^-1 rho with the positive roots (_signatures):
+  integers throughout: no determinant is taken and no map is stored.  The
+  few readers that need the selectors themselves rebuild them from the
+  trie (selectors).
 
 The number of entries must equal the Weyl group order exactly; any excess or
 deficit is reported as corruption rather than repaired.  Tables live in
@@ -35,7 +36,7 @@ from itertools import repeat
 from operator import mul, xor
 
 from . import linalg
-from .algebra import WeightVec, _require_dominant_integral, check_envelope
+from .algebra import WeightVec, _orbit_rows, _require_dominant_integral, check_envelope
 from .errors import EnvelopeError, InputError, IntegrityError
 from .frozen import Frozen
 from .laurent import LaurentPoly
@@ -50,48 +51,22 @@ def orbit_drops(a, i):
 
     Returned in root-basis coordinates (always non-negative integers),
     sorted by height and then lexicographically.  The one-based position in
-    this list is the index entries refer to.  The orbit is walked downwards
-    from l_i: reflecting mu in a_j subtracts mu_j a_j, so it adds mu_j > 0 to
-    coordinate j of l_i - mu, and the root coordinates come out of the walk
-    with no change of basis.
+    this list is the index entries refer to.  l_i - mu lies in the root
+    lattice, so its root row (l_i - mu) @ adj C / det C divides out exactly.
     """
     if not 0 <= i < a.rank:
         raise InputError(f"slot {i} out of range for rank {a.rank}")
-    cartan = a.cartan
-    lam = a.fundamental_weights[i].coords
-    depth = {lam: (0,) * a.rank}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for j, c in enumerate(mu):
-                if c <= 0:
-                    continue
-                img = tuple([x - c * y for x, y in zip(mu, cartan[j])])
-                if img not in depth:
-                    n = list(depth[mu])
-                    n[j] += c
-                    depth[img] = tuple(n)
-                    nxt.append(img)
-        frontier = nxt
-    out = sorted(depth.values(), key=lambda n: (sum(n), n))
+    det = a.cartan_det
+    cols = tuple(zip(*a.cartan_adjugate))
+    top = a.cartan_adjugate[i]   # l_i @ adj C
+    out = sorted(
+        (
+            tuple([(t - sum(map(mul, mu, c))) // det for t, c in zip(top, cols)])
+            for mu in _orbit_rows(a.cartan, a.fundamental_weights[i].coords)
+        ),
+        key=lambda n: (sum(n), n),
+    )
     return tuple(WeightVec.root(n) for n in out)
-
-
-class TableEntry(Frozen):
-    """One signed term of the reconstructed alternant.
-
-    selector holds one-based candidate indices, slot by slot; signature is
-    the entry's sign, +1 or -1.
-    """
-
-    __slots__ = ("selector", "signature")
-
-    # its own constructor: a table builds |W| entries, and the generic one of
-    # Frozen would double the cost of that loop
-    def __init__(self, selector, signature):
-        object.__setattr__(self, "selector", selector)
-        object.__setattr__(self, "signature", signature)
 
 
 class AlternantTable(Frozen):
@@ -99,20 +74,21 @@ class AlternantTable(Frozen):
 
     coroots holds the coroot row h of every candidate, slot by slot
     (_candidate_profiles).  levels is the trie of the sorted selectors
-    (_selector_trie); its last level lines up with entries.
+    (_selector_trie), the only place the selectors are kept; signatures
+    holds each entry's sign, +1 or -1, in the order of the trie's leaves.
     """
 
     __slots__ = (
         "algebra",      # Algebra
         "candidates",   # per slot: tuple of WeightVec (root basis)
-        "entries",      # TableEntry, sorted by selector
         "coroots",      # per slot: integer rows h, one per candidate
         "levels",       # per slot: (parents, candidates) of the selector trie
+        "signatures",   # +1 or -1 per entry, in leaf order
     )
 
     @property
     def size(self):
-        return len(self.entries)
+        return len(self.signatures)
 
     def __repr__(self):
         return f"AlternantTable({self.algebra.name}, entries={self.size})"
@@ -190,8 +166,9 @@ def _compatibility(a, vrows, grows):
     return diagonal, compat
 
 
-def _selector_trie(selectors, r):
-    """The trie of sorted selectors, as one (parents, candidates) pair per slot.
+def _selector_trie(found, r):
+    """The trie of sorted zero-based selectors, as one (parents, candidates)
+    pair per slot.
 
     Node n of level k extends node parents[n] of level k - 1 by the
     zero-based candidate candidates[n] of slot k.  Consecutive selectors
@@ -201,16 +178,25 @@ def _selector_trie(selectors, r):
     parents = [[] for _ in range(r)]
     cands = [[] for _ in range(r)]
     prev = None
-    for s in selectors:
+    for s in found:
         k = 0
         if prev is not None:
             while k < r - 1 and s[k] == prev[k]:
                 k += 1
         for j in range(k, r):
             parents[j].append(len(parents[j - 1]) - 1 if j else 0)
-            cands[j].append(s[j] - 1)
+            cands[j].append(s[j])
         prev = s
     return tuple(zip(map(tuple, parents), map(tuple, cands)))
+
+
+def selectors(levels):
+    """The selectors of a trie in leaf order, as tuples of one-based
+    candidate indices, slot by slot, rebuilt level by level."""
+    prefix = [()]
+    for parents, cands in levels:
+        prefix = [prefix[p] + (c + 1,) for p, c in zip(parents, cands)]
+    return prefix
 
 
 def _pack(row):
@@ -255,8 +241,8 @@ def _unpack(rows, width):
     return list(zip(*[iter(flat)] * width))
 
 
-def _entries(a, selectors, levels, hrows):
-    """The entries of the sorted selectors, each with its sign.
+def _signatures(a, levels, hrows):
+    """The sign of each entry of the selector trie, in leaf order.
 
     An entry stands for the Weyl group element U, whose sign det U is
     (-1)^l, where l counts the positive roots alpha with (U^-1 rho, alpha)
@@ -279,16 +265,16 @@ def _entries(a, selectors, levels, hrows):
     totals = [[sum(h) for h in hats] for hats in hrows]
     top = _pack([_HALF] * npos)   # the top bit of every digit
     ones = _pack([1] * npos)
-    entries = []
-    for selector, row in zip(selectors, _walk(levels, rho, totals, simple)):
+    signs = []
+    for n, row in enumerate(_walk(levels, rho, totals, simple)):
         kept = (row & top).bit_count()   # digits >= 0
         if ((row - ones) & top).bit_count() != kept:
             raise IntegrityError(
-                f"entry {selector} maps rho onto a wall; it is no Weyl "
-                "group element"
+                f"entry {selectors(levels)[n]} maps rho onto a wall; it is no "
+                "Weyl group element"
             )
-        entries.append(TableEntry(selector, -1 if (npos - kept) & 1 else 1))
-    return tuple(entries)
+        signs.append(-1 if (npos - kept) & 1 else 1)
+    return tuple(signs)
 
 
 def build_table(a):
@@ -305,43 +291,42 @@ def build_table(a):
     diagonal, compat = _compatibility(a, vrows, grows)
     slots_sorted = sorted(range(r), key=lambda i: (len(cands[i]), i))
 
-    selectors = []
+    found = []
     choice = [0] * r
 
     def descend(level, domains):
         if level == r:
-            selectors.append(tuple([x + 1 for x in choice]))
+            found.append(tuple(choice))
             return
         slot = slots_sorted[level]
         rest = slots_sorted[level + 1 :]
         for idx in sorted(domains[slot]):
             choice[slot] = idx
             narrowed = {}
-            dead = False
             for s in rest:
                 nd = domains[s] & compat[(slot, s)][idx]
                 if not nd:
-                    dead = True
                     break
                 narrowed[s] = nd
-            if not dead:
+            else:
                 descend(level + 1, narrowed)
 
     descend(0, {s: diagonal[s] for s in slots_sorted})
 
-    if len(selectors) != expected:
+    if len(found) != expected:
         raise IntegrityError(
-            f"table for {a.name} has {len(selectors)} entries but |W| = {expected}; "
+            f"table for {a.name} has {len(found)} entries but |W| = {expected}; "
             "the quadratic conditions admit no repair, this is corruption"
         )
-    selectors.sort()
-    levels = _selector_trie(selectors, r)
+    found.sort()
+    levels = _selector_trie(found, r)
+    del found   # the trie holds every selector from here on
     return AlternantTable(
         algebra=a,
         candidates=cands,
-        entries=_entries(a, selectors, levels, hrows),
         coroots=hrows,
         levels=levels,
+        signatures=_signatures(a, levels, hrows),
     )
 
 
@@ -371,14 +356,14 @@ def alternant(table, weight):
     vec = tuple([x + 1 for x in m])
     dots = [[sum(map(mul, h, vec)) for h in hats] for hats in table.coroots]
     rows = _unpack(_walk(table.levels, vec, dots, a.cartan), a.rank)
-    terms = dict(zip(rows, [e.signature for e in table.entries]))
+    terms = dict(zip(rows, table.signatures))
     if len(terms) != len(rows):
         raise IntegrityError("table produced a repeated exponent row")
     return LaurentPoly._raw(a.rank, terms)
 
 
-def _monomial_map(table, entry):
-    """The integer weight-basis matrix U^-1 of one entry, rebuilt on demand.
+def _monomial_map(table, selector):
+    """The integer weight-basis matrix U^-1 of one entry, from its selector.
 
     Row j of U^-1 is l_j - sum_i ((l_j, g_i) / d_i) a_i, that is
     U^-1 = I - H^T C, and H^T C is the sum over slots of the outer products
@@ -386,15 +371,16 @@ def _monomial_map(table, entry):
     """
     a = table.algebra
     m = [list(row) for row in linalg.identity(a.rank)]
-    for slot, x, crow in zip(table.coroots, entry.selector, a.cartan):
+    for slot, x, crow in zip(table.coroots, selector, a.cartan):
         for row, y in zip(m, slot[x - 1]):
             for k, c in enumerate(crow):
                 row[k] -= y * c
     return m
 
 
-def entry_exponents(table, entry, weight):
-    """Root-basis exponent row of one entry's monomial, exact rationals.
+def entry_exponents(table, selector, weight):
+    """Root-basis exponent row of the monomial of one entry, given by its
+    selector, in exact rationals.
 
     Equals 2 (l_i - g_i, rho + weight) / (a_i, a_i) coordinate by
     coordinate.
@@ -404,7 +390,7 @@ def entry_exponents(table, entry, weight):
     a = table.algebra
     m = _require_dominant_integral(a, weight)
     vec = tuple(x + 1 for x in m)
-    e = linalg.vec_mat(vec, _monomial_map(table, entry))
+    e = linalg.vec_mat(vec, _monomial_map(table, selector))
     return WeightVec.root(
         [Fraction(x, a.cartan_det) for x in linalg.vec_mat(e, a.cartan_adjugate)]
     )
@@ -420,15 +406,10 @@ class AffineExponents(Frozen):
     __slots__ = ("signature", "constant", "linear")
 
     def evaluate(self, s):
-        r = len(self.constant)
         if len(s) != len(self.linear):
             raise InputError("wrong number of weight coordinates")
-        coords = list(self.constant)
-        for j, sj in enumerate(s):
-            row = self.linear[j]
-            for i in range(r):
-                coords[i] += sj * row[i]
-        return WeightVec.root(coords)
+        shift = linalg.vec_mat(s, self.linear)
+        return WeightVec.root([c + x for c, x in zip(self.constant, shift)])
 
     def as_rows(self):
         """Per-coordinate view: (constant_i, coefficients over s)."""
@@ -449,15 +430,15 @@ def exponent_forms(table):
 
     a = table.algebra
     out = []
-    for entry in table.entries:
+    for selector, sign in zip(selectors(table.levels), table.signatures):
         mc = [
             [Fraction(x, a.cartan_det) for x in row]
-            for row in linalg.mat_mul(_monomial_map(table, entry), a.cartan_adjugate)
+            for row in linalg.mat_mul(_monomial_map(table, selector), a.cartan_adjugate)
         ]
         constant = linalg.vec_mat((1,) * a.rank, mc)
         out.append(
             AffineExponents(
-                signature=entry.signature,
+                signature=sign,
                 constant=tuple(constant),
                 linear=tuple(tuple(row) for row in mc),
             )

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from oracles import inverse_frac, root_string_positive_roots
 
 from weylchar.algebra import (
+    MAX_RANK,
     WeightVec,
     _positive_root_coords,
     bilinear,
@@ -24,7 +25,7 @@ from weylchar.algebra import (
     weight_coords,
     weyl_order,
 )
-from weylchar.errors import InputError, IntegrityError
+from weylchar.errors import EnvelopeError, InputError, IntegrityError
 from weylchar.linalg import vec_mat
 from weylchar.tables import shared_table
 from weylchar.weylgroup import alternant_direct, generate
@@ -270,10 +271,18 @@ def test_invalid_families_and_ranks():
         ("D", 3), ("G", 3), ("F", 5), ("E", 5), ("E", 9), ("B", 1),
         ("A", 0), ("H", 2), ("A", 2.5), ("A", 2.0), ("G", True), ("A", None),
         ("A", "x"), ("A", "-1"), ("A", "+2"), ("G", "\u00b2"), ("G", "\u0662"),
-        ("A", Fraction(2)),
+        ("A", Fraction(2)), ("A", "1" * 5000),
     ]:
         with pytest.raises(InputError):
             build_algebra(family, rank)
+
+
+def test_ranks_past_the_envelope_are_refused():
+    assert build_algebra("A", MAX_RANK).rank == MAX_RANK   # the largest kept
+    for family in "ABCD":
+        for rank in [MAX_RANK + 1, 10**6, str(10**6)]:
+            with pytest.raises(EnvelopeError, match="rank envelope"):
+                build_algebra(family, rank)
 
 
 def test_every_spelling_of_a_type_is_one_object():

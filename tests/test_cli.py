@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 from types import SimpleNamespace
 
@@ -189,10 +190,17 @@ def test_exit_code_2_on_bad_input(capsys):
         ["dimension", "--algebra", "G\u00b2", "--weight", "1,0"],
         ["dimension", "--algebra", "B\u00b9", "--weight", "1,0"],
         ["dimension", "--algebra", "G\u0662", "--weight", "1,0"],
+        # past the 4,300 digits int() reads from Python 3.11 on
+        ["dimension", "--algebra", "G2", "--weight", "1," + "1" * 5000],
+        ["tensor", "--algebra", "G2", "--left", "1" * 5000 + ",0", "--right", "1,0"],
+        ["tensor", "--algebra", "G2", "--left", "1,0", "--right", "0," + "2" * 5000],
+        ["verify", "--algebra", "G2", "--depth", "1" * 5000],
+        ["dimension", "--algebra", "A" + "1" * 5000, "--weight", "1"],
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error:") and out == ""
+        assert len(err) < 200  # the number is not echoed back
 
 
 @pytest.mark.parametrize("argv", [
@@ -305,6 +313,15 @@ def test_exit_code_4_on_envelope(capsys):
         code, _, err = run(capsys, "gamma", "--algebra", name)
         assert code == 4
         assert "envelope" in err
+
+
+def test_rank_past_the_envelope_exits_4_at_once(capsys):
+    for label in ["A25", "D1000", "B" + str(10**6)]:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "dimension", "--algebra", label, "--weight", "1")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and "rank envelope" in err
 
 
 def test_exit_code_3_on_failed_verification(capsys, monkeypatch):

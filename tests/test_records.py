@@ -29,7 +29,6 @@ def records():
         return {
             "WeightVec": WeightVec.weight((1, 0)),
             "Algebra": g2,
-            "TableEntry": table.entries[0],
             "AlternantTable": table,
             "AffineExponents": exponent_forms(table)[0],
             "WeylGroup": generate(g2),
@@ -44,8 +43,7 @@ def records():
 FIELDS = {
     "WeightVec": "coords",
     "Algebra": "rank",
-    "TableEntry": "signature",
-    "AlternantTable": "entries",
+    "AlternantTable": "signatures",
     "AffineExponents": "constant",
     "WeylGroup": "elements",
     "CharacterResult": "poly",
@@ -121,9 +119,6 @@ def test_reprs(records):
     assert repr(r["WeightVec"]) == "WeightVec(coords=(1, 0), basis='weight')"
     assert repr(g2) == "Algebra(G2)"
     assert repr(r["AlternantTable"]) == "AlternantTable(G2, entries=12)"
-    assert repr(r["TableEntry"]) == (
-        "TableEntry(selector=(1, 1), signature=1)"
-    )
     assert repr(r["AffineExponents"]) == (
         "AffineExponents(signature=1, "
         "constant=(Fraction(3, 1), Fraction(5, 1)), "

@@ -26,6 +26,7 @@ from weylchar.tables import (
     entry_exponents,
     exponent_forms,
     orbit_drops,
+    selectors,
     shared_table,
 )
 from weylchar.weylgroup import alternant_direct, generate
@@ -42,16 +43,21 @@ def test_g2_candidates_golden(g2_table):
     assert got2 == golden_g2.CANDIDATES_SLOT2
 
 
+def entries(table):
+    """selector -> signature, with the selectors read off the trie."""
+    return dict(zip(selectors(table.levels), table.signatures))
+
+
 def test_g2_entries_golden(g2_table):
-    got = {e.selector: e.signature for e in g2_table.entries}
+    got = entries(g2_table)
     assert got == golden_g2.ENTRIES
     assert got[(1, 2)] == -1  # the lone mixed pairing off the trivial slot
 
 
 def test_entries_sorted_by_selector(g2_table, a2_table):
     for t in (g2_table, a2_table):
-        sel = [e.selector for e in t.entries]
-        assert sel == sorted(sel)
+        sel = selectors(t.levels)
+        assert sel == sorted(sel) and len(sel) == len(set(sel)) == t.size
 
 
 def test_orbit_drops_are_positive_root_rows():
@@ -105,7 +111,7 @@ def test_quadratic_conditions_hold_on_every_entry():
         a = algebra(name)
         t = build_table(a)
         fw = a.fundamental_weights
-        for entry in t.entries:
+        for selector in selectors(t.levels):
             moved = [
                 WeightVec.weight(
                     tuple(
@@ -113,7 +119,7 @@ def test_quadratic_conditions_hold_on_every_entry():
                         for m, g in zip(
                             fw[i].coords,
                             weight_coords(
-                                a, t.candidates[i][entry.selector[i] - 1]
+                                a, t.candidates[i][selector[i] - 1]
                             ),
                         )
                     )
@@ -148,21 +154,19 @@ def _selectors_from_group(a, table):
 
 
 def test_a2_table_matches_group_enumeration(a2, a2_table):
-    got = {e.selector: e.signature for e in a2_table.entries}
-    assert got == _selectors_from_group(a2, a2_table)
+    assert entries(a2_table) == _selectors_from_group(a2, a2_table)
 
 
 @pytest.mark.parametrize("name", ["B3", "D4", "F4"])
 def test_table_matches_group_enumeration(name):
     a = algebra(name)
     table = build_table(a)
-    got = {e.selector: e.signature for e in table.entries}
-    assert got == _selectors_from_group(a, table)
+    assert entries(table) == _selectors_from_group(a, table)
 
 
 def _entry_rows(a, table):
-    """Per entry, the rows of U in the weight basis: l_i - g_i for the
-    selected drop g_i of each slot i."""
+    """Per entry, its selector, its sign and the rows of U in the weight
+    basis: l_i - g_i for the selected drop g_i of each slot i."""
     moved = [
         [
             tuple((1 if k == i else 0) - x
@@ -171,8 +175,8 @@ def _entry_rows(a, table):
         ]
         for i, slot in enumerate(table.candidates)
     ]
-    for entry in table.entries:
-        yield entry, tuple(moved[i][s - 1] for i, s in enumerate(entry.selector))
+    for selector, sign in entries(table).items():
+        yield selector, sign, tuple(moved[i][s - 1] for i, s in enumerate(selector))
 
 
 def test_monomial_map_inverts_the_entry_map():
@@ -182,8 +186,8 @@ def test_monomial_map_inverts_the_entry_map():
         a = algebra(name)
         t = build_table(a)
         ident = identity(a.rank)
-        for entry, rows in _entry_rows(a, t):
-            inverse = tuple(map(tuple, _monomial_map(t, entry)))
+        for selector, _sign, rows in _entry_rows(a, t):
+            inverse = tuple(map(tuple, _monomial_map(t, selector)))
             assert mat_mul(rows, inverse) == ident
             if name in ("G2", "B3"):
                 assert inverse == inverse_frac(rows)
@@ -195,8 +199,8 @@ def test_signatures_are_bareiss_determinants(name):
     fraction-free Bareiss elimination."""
     a = algebra(name)
     t = shared_table(a)
-    for entry, rows in _entry_rows(a, t):
-        assert entry.signature == det_int(rows)
+    for _selector, sign, rows in _entry_rows(a, t):
+        assert sign == det_int(rows)
 
 
 def test_entry_with_rho_on_a_wall_is_refused(g2, monkeypatch):
@@ -223,7 +227,10 @@ def test_alternant_applies_every_monomial_map(name):
     t = build_table(a)
     for coords in [(0,) * a.rank, tuple(range(a.rank)), (3,) + (0,) * (a.rank - 1)]:
         vec = tuple(x + 1 for x in coords)
-        want = {vec_mat(vec, _monomial_map(t, e)): e.signature for e in t.entries}
+        want = {
+            vec_mat(vec, _monomial_map(t, selector)): sign
+            for selector, sign in entries(t).items()
+        }
         got = alternant(t, WeightVec.weight(coords))
         assert got.terms == want
         assert list(got.terms) == list(want)
@@ -243,9 +250,7 @@ def test_alternant_near_the_64_bit_limit():
 def test_build_is_deterministic(g2):
     t1 = build_table(g2)
     t2 = build_table(g2)
-    assert [(e.selector, e.signature) for e in t1.entries] == [
-        (e.selector, e.signature) for e in t2.entries
-    ]
+    assert t1.levels == t2.levels and t1.signatures == t2.signatures
 
 
 def test_alternant_routes_agree():
@@ -275,10 +280,10 @@ def test_entry_exponents_match_defining_ratio(g2, g2_table):
     lam = WeightVec.weight((2, 1))
     shifted = WeightVec.weight((3, 2))  # rho + lam
     fw = g2.fundamental_weights
-    for entry in g2_table.entries:
-        got = entry_exponents(g2_table, entry, lam)
+    for selector in selectors(g2_table.levels):
+        got = entry_exponents(g2_table, selector, lam)
         for i in range(g2.rank):
-            drop = g2_table.candidates[i][entry.selector[i] - 1]
+            drop = g2_table.candidates[i][selector[i] - 1]
             moved = WeightVec.weight(
                 tuple(
                     m - x
