@@ -131,8 +131,7 @@ _RANK_BOUNDS = {"A": 1, "B": 2, "C": 2, "D": 4}
 # The cofactor adjugate makes a build O(r^5): 0.27 s at rank 24 and 1.1 s
 # at rank 32 on a 2-core host, so the classical families stop at rank 24.
 MAX_RANK = 24
-# the most decimal digits read as one integer: int()'s default limit on str
-# from Python 3.11 (where more raise ValueError), held on every version
+# the most digits read as one integer: int()'s default limit from Python 3.11
 MAX_DIGITS = 4300
 _EXCEPTIONAL = {("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)}
 
@@ -242,11 +241,10 @@ def build_algebra(family, rank):
     family is a letter in either case, rank an int or a string of ASCII
     digits; every spelling of one type returns the same object.
     """
-    if type(rank) is str and rank.isascii() and rank.isdigit():
-        rank = read_int(rank, "rank")
-    if not isinstance(rank, int) or isinstance(rank, bool):
+    n = read_int(rank, "the rank") if type(rank) is str else rank
+    if not isinstance(n, int) or isinstance(n, bool):
         raise InputError(f"rank must be an integer, got {rank!r}")
-    return _build_algebra(str(family).upper(), int(rank))
+    return _build_algebra(str(family).upper(), int(n))
 
 
 @lru_cache(maxsize=None)
@@ -345,18 +343,16 @@ def parse_algebra(label):
     if len(label) < 2 or not label[0].isalpha():
         raise InputError(f"cannot parse algebra label {label!r}; expected e.g. 'G2'")
     family, digits = label[0].upper(), label[1:]
-    if not (digits.isascii() and digits.isdigit()):
+    rank = read_int(digits, f"the rank of {family}")
+    if rank is None or digits[0] == "-":
         raise InputError(f"cannot parse algebra label {label!r}; expected e.g. 'B3'")
-    return build_algebra(family, read_int(digits, f"the rank of {family}"))
+    return build_algebra(family, rank)
 
 
 def read_int(text, what):
-    """text as an int if it is ASCII decimal digits with an optional leading
-    '-', else None.
-
-    int() also takes '_' between digits, a leading '+' and digits of other
-    scripts, none of which is read here.  More than MAX_DIGITS digits raise
-    InputError naming what, where int() raises ValueError from Python 3.11.
+    """text as an int if it is ASCII digits after an optional '-', else None
+    ('_', '+' and other scripts' digits are refused, unlike int()).  More
+    than MAX_DIGITS digits raise InputError naming what.
     """
     digits = text[1:] if text[:1] == "-" else text
     if not (digits.isascii() and digits.isdigit()):

@@ -8,7 +8,9 @@ group when reconstructing:
 * For each slot i the candidate vectors are the differences l_i - mu with mu
   running over the Weyl orbit of the i-th fundamental weight l_i.  Each
   candidate lies in the positive root lattice and satisfies the diagonal
-  quadratic condition (l_i - g, l_i - g) = (l_i, l_i) automatically.
+  quadratic condition (l_i - g, l_i - g) = (l_i, l_i) automatically.  The
+  orbit walk carries the root coordinates of l_i - mu along, so they need
+  no change of basis.
 * A table entry selects one candidate per slot such that all cross products
   match: (l_i - g_i, l_j - g_j) = (l_i, l_j).  The selections are found by
   backtracking over slots ordered by ascending candidate count, pruning with
@@ -17,12 +19,10 @@ group when reconstructing:
   the Weyl group element w it stands for.  Its monomial for a dominant
   weight L is e^(U^-1(rho + L)); with g_i in coroot coordinates, scaled by
   1/d_i, as the rows h_i of H, U^-1 = I - H^T C for the Cartan matrix C.
-* The table stores each selector once, as a leaf of the trie of sorted
-  selectors (_selector_trie), and one sign det U = (-1)^l(w) per leaf, read
-  off the pairings of U^-1 rho with the positive roots (_signatures):
-  integers throughout: no determinant is taken and no map is stored.  The
-  few readers that need the selectors themselves rebuild them from the
-  trie (selectors).
+* The table keeps each selector once, as a leaf of the trie of sorted
+  selectors (_selector_trie; selectors reads them back), and one sign
+  det U = (-1)^l(w) per leaf, read off the pairings of U^-1 rho with the
+  positive roots (_signatures): no determinant is taken, no map is stored.
 
 The number of entries must equal the Weyl group order exactly; any excess or
 deficit is reported as corruption rather than repaired.  Tables live in
@@ -36,7 +36,7 @@ from itertools import repeat
 from operator import mul, xor
 
 from . import linalg
-from .algebra import WeightVec, _orbit_rows, _require_dominant_integral, check_envelope
+from .algebra import WeightVec, _require_dominant_integral, check_envelope
 from .errors import EnvelopeError, InputError, IntegrityError
 from .frozen import Frozen
 from .laurent import LaurentPoly
@@ -51,21 +51,31 @@ def orbit_drops(a, i):
 
     Returned in root-basis coordinates (always non-negative integers),
     sorted by height and then lexicographically.  The one-based position in
-    this list is the index entries refer to.  l_i - mu lies in the root
-    lattice, so its root row (l_i - mu) @ adj C / det C divides out exactly.
+    this list is the index entries refer to.  The orbit is walked downwards
+    from l_i: reflecting mu in a_j subtracts mu_j a_j, so it adds mu_j > 0 to
+    coordinate j of l_i - mu, and the root coordinates come out of the walk
+    with no change of basis.
     """
     if not 0 <= i < a.rank:
         raise InputError(f"slot {i} out of range for rank {a.rank}")
-    det = a.cartan_det
-    cols = tuple(zip(*a.cartan_adjugate))
-    top = a.cartan_adjugate[i]   # l_i @ adj C
-    out = sorted(
-        (
-            tuple([(t - sum(map(mul, mu, c))) // det for t, c in zip(top, cols)])
-            for mu in _orbit_rows(a.cartan, a.fundamental_weights[i].coords)
-        ),
-        key=lambda n: (sum(n), n),
-    )
+    cartan = a.cartan
+    lam = a.fundamental_weights[i].coords
+    depth = {lam: (0,) * a.rank}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for j, c in enumerate(mu):
+                if c <= 0:
+                    continue
+                img = tuple([x - c * y for x, y in zip(mu, cartan[j])])
+                if img not in depth:
+                    n = list(depth[mu])
+                    n[j] += c
+                    depth[img] = tuple(n)
+                    nxt.append(img)
+        frontier = nxt
+    out = sorted(depth.values(), key=lambda n: (sum(n), n))
     return tuple(WeightVec.root(n) for n in out)
 
 
@@ -167,8 +177,7 @@ def _compatibility(a, vrows, grows):
 
 
 def _selector_trie(found, r):
-    """The trie of sorted zero-based selectors, as one (parents, candidates)
-    pair per slot.
+    """The trie of sorted zero-based selectors: a (parents, candidates) per slot.
 
     Node n of level k extends node parents[n] of level k - 1 by the
     zero-based candidate candidates[n] of slot k.  Consecutive selectors
@@ -191,8 +200,7 @@ def _selector_trie(found, r):
 
 
 def selectors(levels):
-    """The selectors of a trie in leaf order, as tuples of one-based
-    candidate indices, slot by slot, rebuilt level by level."""
+    """The one-based selectors of a trie's leaves, rebuilt level by level."""
     prefix = [()]
     for parents, cands in levels:
         prefix = [prefix[p] + (c + 1,) for p, c in zip(parents, cands)]
@@ -303,12 +311,14 @@ def build_table(a):
         for idx in sorted(domains[slot]):
             choice[slot] = idx
             narrowed = {}
+            dead = False
             for s in rest:
                 nd = domains[s] & compat[(slot, s)][idx]
                 if not nd:
+                    dead = True
                     break
                 narrowed[s] = nd
-            else:
+            if not dead:
                 descend(level + 1, narrowed)
 
     descend(0, {s: diagonal[s] for s in slots_sorted})
@@ -379,8 +389,7 @@ def _monomial_map(table, selector):
 
 
 def entry_exponents(table, selector, weight):
-    """Root-basis exponent row of the monomial of one entry, given by its
-    selector, in exact rationals.
+    """Root-basis exponent row of one selector's monomial, exact rationals.
 
     Equals 2 (l_i - g_i, rho + weight) / (a_i, a_i) coordinate by
     coordinate.
@@ -406,10 +415,15 @@ class AffineExponents(Frozen):
     __slots__ = ("signature", "constant", "linear")
 
     def evaluate(self, s):
+        r = len(self.constant)
         if len(s) != len(self.linear):
             raise InputError("wrong number of weight coordinates")
-        shift = linalg.vec_mat(s, self.linear)
-        return WeightVec.root([c + x for c, x in zip(self.constant, shift)])
+        coords = list(self.constant)
+        for j, sj in enumerate(s):
+            row = self.linear[j]
+            for i in range(r):
+                coords[i] += sj * row[i]
+        return WeightVec.root(coords)
 
     def as_rows(self):
         """Per-coordinate view: (constant_i, coefficients over s)."""

@@ -305,3 +305,6 @@ def test_parse_algebra():
     for bad in ["", "G", "42", "QQ", "A0", "Gx2", "G\u00b2", "B\u00b9", "G\u0662"]:
         with pytest.raises(InputError):
             parse_algebra(bad)
+    for bad in ["A-1", "G-2", "A-", "A1_0", "A+2"]:   # signs are no part of a label
+        with pytest.raises(InputError, match="cannot parse algebra label"):
+            parse_algebra(bad)
