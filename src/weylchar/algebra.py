@@ -371,6 +371,17 @@ def _root_key(a, e):
     return sum(n), n
 
 
+def _root_row(a, e):
+    """The integer root-basis row of e, a weight-basis row of the root lattice:
+    e @ cartan_adjugate divided exactly by cartan_det, else IntegrityError.
+    """
+    det = a.cartan_det
+    n = linalg.vec_mat(e, a.cartan_adjugate)
+    if any(x % det for x in n):
+        raise IntegrityError(f"weight row {tuple(e)} is not in the root lattice")
+    return tuple([x // det for x in n])
+
+
 def _check_rank(a, v):
     if len(v.coords) != a.rank:
         raise InputError(

@@ -29,13 +29,14 @@ from itertools import islice
 from math import gcd
 from operator import add, le
 
-from . import linalg, tables
+from . import tables
 from .algebra import (
     WeightVec,
     _dominant_coords,
     _dominant_weights_below,
     _require_dominant_integral,
     _root_key,
+    _root_row,
     _spread_orbits,
     weyl_dimension,
 )
@@ -114,12 +115,11 @@ def _shifts(a, denominator):
     Each is (height, root row, weight row, sign), sorted by height; rho - w rho
     is a sum of positive roots, so its root row is a non-negative integer row.
     """
-    det = a.cartan_det
     out = []
     for e, sign in denominator.terms.items():
         row = tuple([1 - x for x in e])
         if any(row):
-            root = tuple([x // det for x in linalg.vec_mat(row, a.cartan_adjugate)])
+            root = _root_row(a, row)
             out.append((sum(root), root, row, sign))
     out.sort()
     return out

@@ -246,7 +246,7 @@ def _verify_checks(a, table, depth):
     import itertools
 
     from . import tables, weylgroup
-    from .algebra import orbit, weyl_order
+    from .algebra import weyl_order
     from .characters import character, multiplicities
     from .weylgroup import freudenthal_multiplicities
 
@@ -262,7 +262,7 @@ def _verify_checks(a, table, depth):
     orbit_ok = True
     details = []
     for i in range(a.rank):
-        n_orbit = len(orbit(a, a.fundamental_weights[i]))
+        n_orbit = len({m[i] for m in group.elements})  # images of l_i
         n_cand = len(table.candidates[i])
         details.append(f"slot {i + 1}: {n_cand}/{n_orbit}")
         if n_cand != n_orbit:

@@ -7,10 +7,9 @@ group when reconstructing:
 
 * For each slot i the candidate vectors are the differences l_i - mu with mu
   running over the Weyl orbit of the i-th fundamental weight l_i.  Each
-  candidate lies in the positive root lattice and satisfies the diagonal
-  quadratic condition (l_i - g, l_i - g) = (l_i, l_i) automatically.  The
-  orbit walk carries the root coordinates of l_i - mu along, so they need
-  no change of basis.
+  candidate lies in the positive root lattice (one exact division turns the
+  weight rows of algebra._orbit_rows into root rows) and satisfies the
+  diagonal quadratic condition (l_i - g, l_i - g) = (l_i, l_i) automatically.
 * A table entry selects one candidate per slot such that all cross products
   match: (l_i - g_i, l_j - g_j) = (l_i, l_j).  The selections are found by
   backtracking over slots ordered by ascending candidate count, pruning with
@@ -33,10 +32,17 @@ which takes milliseconds up to rank 5 (scripts/time_tables.py).
 import struct
 from functools import lru_cache
 from itertools import repeat
-from operator import mul, xor
+from operator import mul, sub, xor
 
 from . import linalg
-from .algebra import WeightVec, _require_dominant_integral, check_envelope
+from .algebra import (
+    WeightVec,
+    _orbit_rows,
+    _require_dominant_integral,
+    _root_row,
+    check_envelope,
+    root_coords,
+)
 from .errors import EnvelopeError, InputError, IntegrityError
 from .frozen import Frozen
 from .laurent import LaurentPoly
@@ -51,32 +57,15 @@ def orbit_drops(a, i):
 
     Returned in root-basis coordinates (always non-negative integers),
     sorted by height and then lexicographically.  The one-based position in
-    this list is the index entries refer to.  The orbit is walked downwards
-    from l_i: reflecting mu in a_j subtracts mu_j a_j, so it adds mu_j > 0 to
-    coordinate j of l_i - mu, and the root coordinates come out of the walk
-    with no change of basis.
+    this list is the index entries refer to.  The orbit comes from
+    _orbit_rows, and _root_row converts each l_i - mu exactly.
     """
     if not 0 <= i < a.rank:
         raise InputError(f"slot {i} out of range for rank {a.rank}")
-    cartan = a.cartan
     lam = a.fundamental_weights[i].coords
-    depth = {lam: (0,) * a.rank}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for j, c in enumerate(mu):
-                if c <= 0:
-                    continue
-                img = tuple([x - c * y for x, y in zip(mu, cartan[j])])
-                if img not in depth:
-                    n = list(depth[mu])
-                    n[j] += c
-                    depth[img] = tuple(n)
-                    nxt.append(img)
-        frontier = nxt
-    out = sorted(depth.values(), key=lambda n: (sum(n), n))
-    return tuple(WeightVec.root(n) for n in out)
+    drops = [tuple(map(sub, lam, mu)) for mu in _orbit_rows(a.cartan, lam)]
+    out = sorted(map(_root_row, repeat(a), drops), key=lambda n: (sum(n), n))
+    return tuple(map(WeightVec.root, out))
 
 
 class AlternantTable(Frozen):
@@ -140,27 +129,18 @@ def _candidate_profiles(a, cands):
 
 
 def _compatibility(a, vrows, grows):
-    """Which candidates meet the quadratic conditions, slot by slot and pairwise.
+    """Which candidates of two slots meet the cross quadratic condition.
 
-    Returns (diagonal, compat).  diagonal[i] is the frozenset of candidate
-    indices x of slot i with (l_i - g_x, l_i - g_x) = (l_i, l_i).  For i != j,
-    compat[(i, j)][x] is the frozenset of indices y of slot j with
-    (l_i - g_x, l_j - g_y) = (l_i, l_j); both directions are stored.
-    Indices are zero-based.  build_table searches these sets.
+    For i != j, compat[(i, j)][x] is the frozenset of indices y of slot j
+    with (l_i - g_x, l_j - g_y) = (l_i, l_j); both directions are stored.
+    Indices are zero-based.  build_table searches these sets.  The diagonal
+    condition holds for every candidate, as each is l_i - w l_i.
     """
     r = a.rank
-    s = a.gram_weight_scaled
-    diagonal = tuple(
-        frozenset(
-            x for x, (gv, v) in enumerate(zip(grows[i], vrows[i]))
-            if sum(map(mul, gv, v)) == s[i][i]
-        )
-        for i in range(r)
-    )
     compat = {}
     for i in range(r):
         for j in range(i + 1, r):
-            target = s[i][j]
+            target = a.gram_weight_scaled[i][j]
             fwd = []
             back = [set() for _ in vrows[j]]
             for x, gv in enumerate(grows[i]):
@@ -173,7 +153,7 @@ def _compatibility(a, vrows, grows):
                     back[y].add(x)
             compat[(i, j)] = fwd
             compat[(j, i)] = [frozenset(b) for b in back]
-    return diagonal, compat
+    return compat
 
 
 def _selector_trie(found, r):
@@ -296,7 +276,7 @@ def build_table(a):
     r = a.rank
     cands = tuple(orbit_drops(a, i) for i in range(r))
     vrows, grows, hrows = _candidate_profiles(a, cands)
-    diagonal, compat = _compatibility(a, vrows, grows)
+    compat = _compatibility(a, vrows, grows)
     slots_sorted = sorted(range(r), key=lambda i: (len(cands[i]), i))
 
     found = []
@@ -311,17 +291,15 @@ def build_table(a):
         for idx in sorted(domains[slot]):
             choice[slot] = idx
             narrowed = {}
-            dead = False
             for s in rest:
                 nd = domains[s] & compat[(slot, s)][idx]
                 if not nd:
-                    dead = True
                     break
                 narrowed[s] = nd
-            if not dead:
+            else:
                 descend(level + 1, narrowed)
 
-    descend(0, {s: diagonal[s] for s in slots_sorted})
+    descend(0, {s: frozenset(range(len(cands[s]))) for s in slots_sorted})
 
     if len(found) != expected:
         raise IntegrityError(
@@ -394,15 +372,11 @@ def entry_exponents(table, selector, weight):
     Equals 2 (l_i - g_i, rho + weight) / (a_i, a_i) coordinate by
     coordinate.
     """
-    from fractions import Fraction
-
     a = table.algebra
     m = _require_dominant_integral(a, weight)
     vec = tuple(x + 1 for x in m)
     e = linalg.vec_mat(vec, _monomial_map(table, selector))
-    return WeightVec.root(
-        [Fraction(x, a.cartan_det) for x in linalg.vec_mat(e, a.cartan_adjugate)]
-    )
+    return WeightVec.root(root_coords(a, WeightVec.weight(e)))
 
 
 class AffineExponents(Frozen):

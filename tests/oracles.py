@@ -11,6 +11,13 @@ from weylchar.errors import InputError, IntegrityError
 from weylchar.laurent import LaurentPoly
 
 
+# the types the oracle suites cover, each small enough for every check
+ORACLE_ALGEBRAS = [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5",
+    "G2", "F4",
+]
+
+
 class NotDivisibleError(IntegrityError):
     """Exact polynomial division left a nonzero remainder."""
 
@@ -222,3 +229,30 @@ def root_string_positive_roots(cartan):
                         nxt.append(t)
         level = sorted(set(nxt))
     return sorted(roots, key=lambda n: (sum(n), n))
+
+
+def walked_orbit_drops(a, i):
+    """Root rows of l_i - mu over the orbit of l_i, sorted by height then lex.
+
+    Walks the orbit downwards from l_i and carries the root coordinates
+    along: reflecting mu in a_j subtracts mu_j a_j, so it adds mu_j > 0 to
+    coordinate j of l_i - mu.  No change of basis is made.
+    """
+    cartan = a.cartan
+    lam = a.fundamental_weights[i].coords
+    depth = {lam: (0,) * a.rank}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for j, c in enumerate(mu):
+                if c <= 0:
+                    continue
+                img = tuple([x - c * y for x, y in zip(mu, cartan[j])])
+                if img not in depth:
+                    n = list(depth[mu])
+                    n[j] += c
+                    depth[img] = tuple(n)
+                    nxt.append(img)
+        frontier = nxt
+    return sorted(depth.values(), key=lambda n: (sum(n), n))

@@ -12,6 +12,7 @@ from weylchar.algebra import (
     MAX_RANK,
     WeightVec,
     _positive_root_coords,
+    _root_row,
     bilinear,
     build_algebra,
     dominant_reduce,
@@ -130,6 +131,25 @@ ALL_TYPES = (
 def test_reflection_closure_equals_root_strings(name):
     cartan = algebra(name).cartan
     assert _positive_root_coords(cartan) == root_string_positive_roots(cartan)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_root_row_is_exact_on_the_root_lattice(name):
+    """_root_row gives the integer root row of every positive root and of
+    2 rho, their sum, from the weight rows."""
+    a = algebra(name)
+    for nw, alpha in zip(a.positive_roots_weight, a.positive_roots):
+        got = _root_row(a, nw)
+        assert got == alpha.coords and all(type(x) is int for x in got)
+    total = tuple(map(sum, zip(*(n.coords for n in a.positive_roots))))
+    assert _root_row(a, (2,) * a.rank) == total
+
+
+def test_root_row_refuses_a_row_off_the_root_lattice():
+    """l_1 of A2 has root row (2/3, 1/3): no exact division, IntegrityError."""
+    for name, row in [("A2", (1, 0)), ("B3", (0, 0, 1)), ("E6", (1,) + (0,) * 5)]:
+        with pytest.raises(IntegrityError, match="not in the root lattice"):
+            _root_row(algebra(name), row)
 
 
 def test_g2_positive_roots_golden(g2):

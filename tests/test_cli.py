@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import golden_g2
+from oracles import ORACLE_ALGEBRAS
 from weylchar import characters, cli, tables, tensor, weylgroup
 from weylchar.algebra import build_algebra
 from weylchar.characters import character
@@ -163,6 +164,30 @@ def test_verify_json(capsys):
         "characters-match-recursion-and-dimension",
     }
     assert all(c["passed"] for c in data["checks"])
+
+
+def orbit_check(a, table):
+    """(passed, detail) of verify's candidate-counts-match-orbit-sizes."""
+    for name, passed, detail in cli._verify_checks(a, table, 0):
+        if name == "candidate-counts-match-orbit-sizes":
+            return passed, detail
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_verify_counts_orbits_apart_from_the_candidates(name):
+    """The orbit sizes come from the group, not from the walk that made the
+    candidates: a table whose slot k lost a candidate fails the check."""
+    a = build_algebra(name[0], int(name[1:]))
+    table = tables.shared_table(a)
+    assert orbit_check(a, table)[0]
+    fields = {f: getattr(table, f) for f in tables.AlternantTable.__slots__}
+    for k, slot in enumerate(table.candidates, 1):
+        cands = list(table.candidates)
+        cands[k - 1] = slot[:-1]
+        short = tables.AlternantTable(**dict(fields, candidates=tuple(cands)))
+        passed, detail = orbit_check(a, short)
+        assert not passed
+        assert f"slot {k}: {len(slot) - 1}/{len(slot)}" in detail.split(", ")
 
 
 def test_verify_rejects_negative_depth(capsys, monkeypatch):

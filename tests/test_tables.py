@@ -1,11 +1,12 @@
 """Gamma tables: assembly, golden data, symbolic forms, and the envelope."""
 
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
 import golden_g2
-from oracles import inverse_frac
+from oracles import ORACLE_ALGEBRAS, inverse_frac, walked_orbit_drops
 from weylchar import tables
 from weylchar.algebra import (
     WeightVec,
@@ -71,12 +72,6 @@ def test_orbit_drops_are_positive_root_rows():
                 assert all(isinstance(x, int) and x >= 0 for x in d.coords)
 
 
-ORACLE_ALGEBRAS = [
-    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5",
-    "G2", "F4",
-]
-
-
 @pytest.mark.parametrize("name", ORACLE_ALGEBRAS + ["E6"])
 def test_orbit_drops_match_root_coordinates_of_the_orbit(name):
     """Oracle: root_coords of l_i - mu, in Fractions, over the weight orbit."""
@@ -97,6 +92,27 @@ def test_orbit_drops_match_root_coordinates_of_the_orbit(name):
         got = orbit_drops(a, i)
         assert [d.coords for d in got] == want
         assert all(type(x) is int for d in got for x in d.coords)
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS + ["E6", "E7"])
+def test_orbit_drops_match_the_walk_that_carries_root_coordinates(name):
+    """Oracle: the orbit walked downwards with the root coordinates of
+    l_i - mu carried along, so no change of basis is made."""
+    a = algebra(name)
+    for i in range(a.rank):
+        assert [d.coords for d in orbit_drops(a, i)] == walked_orbit_drops(a, i)
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS + ["E6"])
+def test_every_candidate_meets_the_diagonal_condition(name):
+    """(l_i - g, l_i - g) = (l_i, l_i) for every candidate g of slot i.  The
+    build tests only the cross conditions and relies on this."""
+    a = algebra(name)
+    for lam, slot in zip(a.fundamental_weights, shared_table(a).candidates):
+        norm = bilinear(a, lam, lam)
+        for g in slot:
+            moved = WeightVec.weight(tuple(map(sub, lam.coords, weight_coords(a, g))))
+            assert bilinear(a, moved, moved) == norm
 
 
 def test_entry_count_statement():
