@@ -241,6 +241,10 @@ def _cmd_dimension(args):
     return 0
 
 
+# the most weights verify's grid may hold: --depth N checks (N + 1)^rank
+VERIFY_MAX_WEIGHTS = 4096
+
+
 def _verify_checks(a, table, depth):
     """Run the invariant suite; yields (name, passed, detail)."""
     import itertools
@@ -323,6 +327,11 @@ def _cmd_verify(args):
         raise InputError(f"--depth must be an integer, got {args.depth!r}")
     if depth < 0:
         raise InputError(f"--depth must be non-negative, got {depth}")
+    if (depth + 1) ** a.rank > VERIFY_MAX_WEIGHTS:
+        raise EnvelopeError(
+            f"verify --depth N checks (N + 1)^{a.rank} weights of {a.name}, past "
+            f"the grid envelope ({VERIFY_MAX_WEIGHTS})"
+        )
     table = tables.shared_table(a)
     checks = [
         {"name": name, "passed": passed, "detail": detail}
@@ -360,7 +369,8 @@ _OPTIONS = {
     "--weight": ("WEIGHT", "dominant weight, e.g. 0,1"),
     "--left": ("WEIGHT", "left highest weight, e.g. 1,0"),
     "--right": ("WEIGHT", "right highest weight, e.g. 1,1"),
-    "--depth": ("N", "check all dominant weights with coordinates up to N"),
+    "--depth": ("N", "check all dominant weights with coordinates up to N, "
+                f"at most {VERIFY_MAX_WEIGHTS} of them"),
     "--method": (("gamma", "weyl"), "alternant construction route"),
     "--format": (("text", "json"), "output format"),
     "--cache-dir": (

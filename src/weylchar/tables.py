@@ -12,16 +12,18 @@ group when reconstructing:
   diagonal quadratic condition (l_i - g, l_i - g) = (l_i, l_i) automatically.
 * A table entry selects one candidate per slot such that all cross products
   match: (l_i - g_i, l_j - g_j) = (l_i, l_j).  The selections are found by
-  backtracking over slots ordered by ascending candidate count, pruning with
-  precomputed pairwise compatibility sets.
+  backtracking over the slots in order, pruning with pairwise compatibility
+  sets computed on the candidates' root rows.
 * Each entry determines a linear map U on weight space by U(l_i) = l_i - g_i:
   the Weyl group element w it stands for.  Its monomial for a dominant
   weight L is e^(U^-1(rho + L)); with g_i in coroot coordinates, scaled by
   1/d_i, as the rows h_i of H, U^-1 = I - H^T C for the Cartan matrix C.
+  The rows h_i are derived from the candidates when needed, never kept.
 * The table keeps each selector once, as a leaf of the trie of sorted
-  selectors (_selector_trie; selectors reads them back), and one sign
-  det U = (-1)^l(w) per leaf, read off the pairings of U^-1 rho with the
-  positive roots (_signatures): no determinant is taken, no map is stored.
+  selectors that the search writes as it finds them (selectors reads them
+  back), and one sign det U = (-1)^l(w) per leaf, read off the pairings of
+  U^-1 rho with the positive roots (_signatures): no determinant is taken,
+  no map is stored.
 
 The number of entries must equal the Weyl group order exactly; any excess or
 deficit is reported as corruption rather than repaired.  Tables live in
@@ -71,16 +73,15 @@ def orbit_drops(a, i):
 class AlternantTable(Frozen):
     """The table of one algebra: candidates per slot and the |W| entries.
 
-    coroots holds the coroot row h of every candidate, slot by slot
-    (_candidate_profiles).  levels is the trie of the sorted selectors
-    (_selector_trie), the only place the selectors are kept; signatures
-    holds each entry's sign, +1 or -1, in the order of the trie's leaves.
+    levels is the trie of the sorted selectors, written by build_table's
+    search and the only place the selectors are kept; signatures holds each
+    entry's sign, +1 or -1, in the order of the trie's leaves.  No coroot
+    row is kept: each is derived from its candidate (_slot_scalars).
     """
 
     __slots__ = (
         "algebra",      # Algebra
         "candidates",   # per slot: tuple of WeightVec (root basis)
-        "coroots",      # per slot: integer rows h, one per candidate
         "levels",       # per slot: (parents, candidates) of the selector trie
         "signatures",   # +1 or -1 per entry, in leaf order
     )
@@ -93,90 +94,63 @@ class AlternantTable(Frozen):
         return f"AlternantTable({self.algebra.name}, entries={self.size})"
 
 
-def _candidate_profiles(a, cands):
-    """Per slot i and candidate g: the weight row of l_i - g, its image under
-    the scaled Gram matrix, and the coroot row h of g.
+def _require_coroot_rows(a, cands):
+    """Check that every candidate g of slot i has an integral coroot row h.
 
     With g = sum_k g_k a_k and d_k = (a_k, a_k) / 2, h_k = g_k d_k / d_i:
     the coordinates of (l_i - w l_i) / d_i in the simple coroots a_k / d_k.
     They are integers, because l_i / d_i is a fundamental coweight and w
-    moves it by an element of the coroot lattice.
+    moves it by an element of the coroot lattice; so is every h . v, which
+    _slot_scalars divides exactly.
     """
-    r = a.rank
     d = [n // 2 for n in a.root_norms]
-    vrows = []
-    grows = []
-    hrows = []
-    for i in range(r):
-        vs = []
-        gs = []
-        hs = []
-        for g in cands[i]:
-            gw = linalg.vec_mat(g.coords, a.cartan)
-            v = tuple([(1 if k == i else 0) - gw[k] for k in range(r)])
-            vs.append(v)
-            gs.append(linalg.vec_mat(v, a.gram_weight_scaled))
-            h = [x * d[k] for k, x in enumerate(g.coords)]
-            if any(y % d[i] for y in h):
+    for i, slot in enumerate(cands):
+        for g in slot:
+            if any(x * dk % d[i] for x, dk in zip(g.coords, d)):
                 raise IntegrityError(
                     f"drop {g.coords} of slot {i + 1} has no integral coroot row"
                 )
-            hs.append(tuple([y // d[i] for y in h]))
-        vrows.append(vs)
-        grows.append(gs)
-        hrows.append(tuple(hs))
-    return vrows, grows, tuple(hrows)
 
 
-def _compatibility(a, vrows, grows):
+def _slot_scalars(a, cands, vec):
+    """Per slot i and candidate g: h . vec for g's coroot row h, that is
+    (g . (d o vec)) / d_i, exact once _require_coroot_rows has passed."""
+    d = [n // 2 for n in a.root_norms]
+    dv = list(map(mul, d, vec))
+    return [
+        [sum(map(mul, g.coords, dv)) // di for g in slot]
+        for di, slot in zip(d, cands)
+    ]
+
+
+def _compatibility(a, cands):
     """Which candidates of two slots meet the cross quadratic condition.
 
-    For i != j, compat[(i, j)][x] is the frozenset of indices y of slot j
-    with (l_i - g_x, l_j - g_y) = (l_i, l_j); both directions are stored.
-    Indices are zero-based.  build_table searches these sets.  The diagonal
-    condition holds for every candidate, as each is l_i - w l_i.
+    For i < j, compat[(i, j)][x] is the frozenset of indices y of slot j
+    with (l_i - g_x, l_j - g_y) = (l_i, l_j).  As (l_i, g) = d_i g_i, that
+    is (g_x, g_y) - d_i (g_y)_i = d_j (g_x)_j on the root rows, with the
+    form gram_root.  Indices are zero-based.  The diagonal condition holds
+    for every candidate, as each is l_i - w l_i.
     """
     r = a.rank
+    d = [n // 2 for n in a.root_norms]
     compat = {}
     for i in range(r):
+        forms = []
+        for g in cands[i]:
+            gx = list(linalg.vec_mat(g.coords, a.gram_root))
+            gx[i] -= d[i]
+            forms.append(gx)
         for j in range(i + 1, r):
-            target = a.gram_weight_scaled[i][j]
-            fwd = []
-            back = [set() for _ in vrows[j]]
-            for x, gv in enumerate(grows[i]):
-                ok = frozenset(
-                    y for y, v in enumerate(vrows[j])
-                    if sum(map(mul, gv, v)) == target
+            rows = [g.coords for g in cands[j]]
+            targets = [d[j] * g.coords[j] for g in cands[i]]
+            compat[(i, j)] = [
+                frozenset(
+                    y for y, gy in enumerate(rows) if sum(map(mul, gx, gy)) == t
                 )
-                fwd.append(ok)
-                for y in ok:
-                    back[y].add(x)
-            compat[(i, j)] = fwd
-            compat[(j, i)] = [frozenset(b) for b in back]
+                for gx, t in zip(forms, targets)
+            ]
     return compat
-
-
-def _selector_trie(found, r):
-    """The trie of sorted zero-based selectors: a (parents, candidates) per slot.
-
-    Node n of level k extends node parents[n] of level k - 1 by the
-    zero-based candidate candidates[n] of slot k.  Consecutive selectors
-    share the nodes of their common prefix, and the last level has one node
-    per selector, in the same order.
-    """
-    parents = [[] for _ in range(r)]
-    cands = [[] for _ in range(r)]
-    prev = None
-    for s in found:
-        k = 0
-        if prev is not None:
-            while k < r - 1 and s[k] == prev[k]:
-                k += 1
-        for j in range(k, r):
-            parents[j].append(len(parents[j - 1]) - 1 if j else 0)
-            cands[j].append(s[j])
-        prev = s
-    return tuple(zip(map(tuple, parents), map(tuple, cands)))
 
 
 def selectors(levels):
@@ -229,7 +203,7 @@ def _unpack(rows, width):
     return list(zip(*[iter(flat)] * width))
 
 
-def _signatures(a, levels, hrows):
+def _signatures(a, levels, cands):
     """The sign of each entry of the selector trie, in leaf order.
 
     An entry stands for the Weyl group element U, whose sign det U is
@@ -237,7 +211,8 @@ def _signatures(a, levels, hrows):
     < 0 (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).  As
     U^-1 rho = rho - sum_i (h_i . rho) a_i (alternant), one walk down the
     selector trie carries these pairings, one digit per positive root:
-    (rho, alpha) minus (sum h_i) (a_i, alpha) per slot.  l is the count of
+    (rho, alpha) minus (h_i . rho) (a_i, alpha) per slot, with rho the row
+    (1, ..., 1) of weight coordinates (_slot_scalars).  l is the count of
     negative digits, one & and one bit_count per entry.
 
     The count needs U^-1 rho off every wall, as it is for a Weyl group
@@ -250,7 +225,7 @@ def _signatures(a, levels, hrows):
     d = [n // 2 for n in a.root_norms]
     rho = [sum(map(mul, n, d)) for n in roots]   # (rho, alpha)
     simple = [[sum(map(mul, row, n)) for n in roots] for row in a.gram_root]
-    totals = [[sum(h) for h in hats] for hats in hrows]
+    totals = _slot_scalars(a, cands, [1] * a.rank)
     top = _pack([_HALF] * npos)   # the top bit of every digit
     ones = _pack([1] * npos)
     signs = []
@@ -268,53 +243,62 @@ def _signatures(a, levels, hrows):
 def build_table(a):
     """Assemble the full reconstruction table for one algebra.
 
+    The search takes the slots in their natural order and each slot's
+    candidates in increasing index, pruning the later slots' domains with
+    the compatibility sets, so it meets the selectors sorted.  It writes
+    the trie as it goes: at each selector found, the nodes of its path not
+    yet in the trie.  Node n of level k extends node parents[n] of level
+    k - 1 by the zero-based candidate candidates[n] of slot k; the last
+    level has one node per selector.
+
     Deterministic output.  Raises EnvelopeError for groups past the supported
-    size, and IntegrityError if the completed entry count differs from the
-    classical Weyl group order in either direction.
+    size, and IntegrityError if the number of selectors found differs from
+    the classical Weyl group order in either direction.
     """
     expected = check_envelope(a)
     r = a.rank
     cands = tuple(orbit_drops(a, i) for i in range(r))
-    vrows, grows, hrows = _candidate_profiles(a, cands)
-    compat = _compatibility(a, vrows, grows)
-    slots_sorted = sorted(range(r), key=lambda i: (len(cands[i]), i))
-
-    found = []
+    _require_coroot_rows(a, cands)
+    compat = _compatibility(a, cands)
+    levels = tuple(([], []) for _ in range(r))
     choice = [0] * r
+    made = 0   # levels of the current path already in the trie
 
-    def descend(level, domains):
-        if level == r:
-            found.append(tuple(choice))
+    def descend(k, domains):
+        nonlocal made
+        if k == r:
+            for j in range(made, r):
+                parents, nodes = levels[j]
+                parents.append(len(levels[j - 1][0]) - 1 if j else 0)
+                nodes.append(choice[j])
+            made = r
             return
-        slot = slots_sorted[level]
-        rest = slots_sorted[level + 1 :]
-        for idx in sorted(domains[slot]):
-            choice[slot] = idx
-            narrowed = {}
-            for s in rest:
-                nd = domains[s] & compat[(slot, s)][idx]
+        for idx in sorted(domains[0]):
+            choice[k] = idx
+            made = min(made, k)
+            narrowed = []
+            for s, dom in enumerate(domains[1:], k + 1):
+                nd = dom & compat[(k, s)][idx]
                 if not nd:
                     break
-                narrowed[s] = nd
+                narrowed.append(nd)
             else:
-                descend(level + 1, narrowed)
+                descend(k + 1, narrowed)
 
-    descend(0, {s: frozenset(range(len(cands[s]))) for s in slots_sorted})
+    descend(0, [frozenset(range(len(slot))) for slot in cands])
 
-    if len(found) != expected:
+    found = len(levels[-1][0])
+    if found != expected:
         raise IntegrityError(
-            f"table for {a.name} has {len(found)} entries but |W| = {expected}; "
+            f"table for {a.name} has {found} entries but |W| = {expected}; "
             "the quadratic conditions admit no repair, this is corruption"
         )
-    found.sort()
-    levels = _selector_trie(found, r)
-    del found   # the trie holds every selector from here on
+    levels = tuple((tuple(p), tuple(c)) for p, c in levels)
     return AlternantTable(
         algebra=a,
         candidates=cands,
-        coroots=hrows,
         levels=levels,
-        signatures=_signatures(a, levels, hrows),
+        signatures=_signatures(a, levels, cands),
     )
 
 
@@ -342,7 +326,7 @@ def alternant(table, weight):
     a = table.algebra
     m = _require_dominant_integral(a, weight)
     vec = tuple([x + 1 for x in m])
-    dots = [[sum(map(mul, h, vec)) for h in hats] for hats in table.coroots]
+    dots = _slot_scalars(a, table.candidates, vec)
     rows = _unpack(_walk(table.levels, vec, dots, a.cartan), a.rank)
     terms = dict(zip(rows, table.signatures))
     if len(terms) != len(rows):
@@ -355,12 +339,16 @@ def _monomial_map(table, selector):
 
     Row j of U^-1 is l_j - sum_i ((l_j, g_i) / d_i) a_i, that is
     U^-1 = I - H^T C, and H^T C is the sum over slots of the outer products
-    h_i C[i].  The entry's exponent row for L is (rho + L) @ U^-1.
+    h_i C[i], with h_i = g_i o d / d_i the coroot row of the candidate g_i
+    (_require_coroot_rows).  The entry's exponent row for L is
+    (rho + L) @ U^-1.
     """
     a = table.algebra
+    d = [n // 2 for n in a.root_norms]
     m = [list(row) for row in linalg.identity(a.rank)]
-    for slot, x, crow in zip(table.coroots, selector, a.cartan):
-        for row, y in zip(m, slot[x - 1]):
+    for slot, x, di, crow in zip(table.candidates, selector, d, a.cartan):
+        for row, gk, dk in zip(m, slot[x - 1].coords, d):
+            y = gk * dk // di
             for k, c in enumerate(crow):
                 row[k] -= y * c
     return m

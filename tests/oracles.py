@@ -256,3 +256,41 @@ def walked_orbit_drops(a, i):
                     nxt.append(img)
         frontier = nxt
     return sorted(depth.values(), key=lambda n: (sum(n), n))
+
+
+def weight_row_compatibility(a, cands):
+    """The cross-condition sets of tables._compatibility, on weight rows.
+
+    For each candidate g of slot i, takes the weight row v of l_i - g and
+    its image under gram_weight_scaled, the form on weight rows times
+    cartan_det.  compat[(i, j)][x] is the frozenset of indices y of slot j
+    with (l_i - g_x, l_j - g_y) = (l_i, l_j), and compat[(j, i)] holds the
+    same pairs the other way round.
+    """
+    r = a.rank
+    vrows = []
+    grows = []
+    for i in range(r):
+        vs = []
+        for g in cands[i]:
+            gw = linalg.vec_mat(g.coords, a.cartan)
+            vs.append(tuple([(1 if k == i else 0) - gw[k] for k in range(r)]))
+        vrows.append(vs)
+        grows.append([linalg.vec_mat(v, a.gram_weight_scaled) for v in vs])
+    compat = {}
+    for i in range(r):
+        for j in range(i + 1, r):
+            target = a.gram_weight_scaled[i][j]
+            fwd = []
+            back = [set() for _ in vrows[j]]
+            for x, gv in enumerate(grows[i]):
+                ok = frozenset(
+                    y for y, v in enumerate(vrows[j])
+                    if sum(p * q for p, q in zip(gv, v)) == target
+                )
+                fwd.append(ok)
+                for y in ok:
+                    back[y].add(x)
+            compat[(i, j)] = fwd
+            compat[(j, i)] = [frozenset(b) for b in back]
+    return compat

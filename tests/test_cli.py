@@ -204,6 +204,29 @@ def test_verify_rejects_negative_depth(capsys, monkeypatch):
             assert err == "error: --depth must be non-negative, got -1\n"
 
 
+def test_verify_refuses_a_grid_past_the_envelope(capsys, monkeypatch):
+    """(depth + 1)^rank past VERIFY_MAX_WEIGHTS exits 4 before any table or
+    grid is made."""
+    def no_table(a):
+        raise AssertionError("refused before any table is touched")
+
+    monkeypatch.setattr(tables, "shared_table", no_table)
+    for algebra, depth in [
+        ("A1", "99999999999999999999"),
+        ("A1", "9" * 30),
+        ("A24", "9" * 4300),
+        ("B3", "400"),
+        ("B3", "16"),
+        ("E6", "4"),
+    ]:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--algebra", algebra, "--depth", depth)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("past the grid envelope (4096)\n")
+
+
 def test_exit_code_2_on_bad_input(capsys):
     for argv in [
         ["character", "--algebra", "Q9", "--weight", "1"],

@@ -2,8 +2,8 @@
 
 The recursion is held equal to generic long division of the numerator
 alternant by the denominator alternant under both methods.  A corrupted
-A_rho, or a table built from altered coroot rows, must be refused, and the
-larger characters the recursion makes affordable are checked against the
+A_rho, or a table that repeats an entry, must be refused, and the larger
+characters the recursion makes affordable are checked against the
 Freudenthal recursion and the Weyl dimension formula.
 """
 
@@ -94,37 +94,19 @@ def test_every_flipped_sign_of_the_denominator_is_caught(
     assert len(caught) == 4
 
 
-def test_altered_coroot_rows_are_refused(g2, monkeypatch, fresh_characters):
-    """Every one-step change of a G2 coroot row that the build accepts gives
-    an A_rho with a repeated exponent row, which character refuses."""
-    real = tables._candidate_profiles
-    sizes = [len(slot) for slot in tables.shared_table(g2).candidates]
-    built = 0
-    for slot, size in enumerate(sizes):
-        for x in range(size):
-            for k, step in itertools.product(range(g2.rank), (1, -1)):
-
-                def altered(a, cands):
-                    vrows, grows, hrows = real(a, cands)
-                    rows = [list(hs) for hs in hrows]
-                    row = list(rows[slot][x])
-                    row[k] += step
-                    rows[slot][x] = tuple(row)
-                    return vrows, grows, tuple(map(tuple, rows))
-
-                monkeypatch.setattr(tables, "_candidate_profiles", altered)
-                try:
-                    table = tables.build_table(g2)
-                except IntegrityError:
-                    continue
-                finally:
-                    monkeypatch.setattr(tables, "_candidate_profiles", real)
-                built += 1
-                monkeypatch.setattr(tables, "shared_table", lambda a: table)
-                characters._character_cached.cache_clear()
-                with pytest.raises(IntegrityError, match="repeated exponent row"):
-                    character(g2, (1, 0))
-    assert built == 8
+def test_a_repeated_leaf_is_refused(g2_table):
+    """A G2 table whose trie repeats one leaf, with its sign, gives an
+    alternant with a repeated exponent row, which alternant refuses."""
+    *head, (parents, nodes) = g2_table.levels
+    levels = (*head, (parents + parents[:1], nodes + nodes[:1]))
+    table = tables.AlternantTable(
+        algebra=g2_table.algebra,
+        candidates=g2_table.candidates,
+        levels=levels,
+        signatures=g2_table.signatures + g2_table.signatures[:1],
+    )
+    with pytest.raises(IntegrityError, match="repeated exponent row"):
+        tables.alternant(table, WeightVec.weight((0, 0)))
 
 
 def test_f4_and_d5_against_recursion_and_dimension():

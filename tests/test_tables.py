@@ -6,7 +6,12 @@ from operator import sub
 import pytest
 
 import golden_g2
-from oracles import ORACLE_ALGEBRAS, inverse_frac, walked_orbit_drops
+from oracles import (
+    ORACLE_ALGEBRAS,
+    inverse_frac,
+    walked_orbit_drops,
+    weight_row_compatibility,
+)
 from weylchar import tables
 from weylchar.algebra import (
     WeightVec,
@@ -115,11 +120,30 @@ def test_every_candidate_meets_the_diagonal_condition(name):
             assert bilinear(a, moved, moved) == norm
 
 
+@pytest.mark.parametrize("name", [
+    "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "C2", "C3",
+    "C4", "C5", "D4", "D5", "D6", "G2", "F4", "E6",
+])
+def test_compatibility_matches_the_weight_row_form(name):
+    """Oracle: the cross-condition sets tested on the candidates' root rows
+    equal those tested on the weight rows of l_i - g with gram_weight_scaled,
+    for every slot pair i < j the search reads."""
+    a = algebra(name)
+    cands = tuple(orbit_drops(a, i) for i in range(a.rank))
+    want = weight_row_compatibility(a, cands)
+    assert tables._compatibility(a, cands) == {
+        (i, j): sets for (i, j), sets in want.items() if i < j
+    }
+
+
 def test_entry_count_statement():
+    """|W| selectors, which the search writes into the trie in sorted order."""
     for name in ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]:
         a = algebra(name)
         t = build_table(a)
         assert t.size == weyl_order(a.family, a.rank)
+        sel = selectors(t.levels)
+        assert sel == sorted(sel)
 
 
 def test_quadratic_conditions_hold_on_every_entry():
@@ -220,17 +244,17 @@ def test_signatures_are_bareiss_determinants(name):
 
 
 def test_entry_with_rho_on_a_wall_is_refused(g2, monkeypatch):
-    """The signs need U^-1 rho off every wall.  One altered G2 coroot row
-    puts that image of entry (2, 3) on a wall, and the build refuses it."""
-    profiles = tables._candidate_profiles
+    """The signs need U^-1 rho off every wall.  One altered G2 per-slot
+    scalar h . rho puts that image of entry (2, 3) on a wall, and the build
+    refuses it."""
+    scalars = tables._slot_scalars
 
-    def altered(a, cands):
-        vrows, grows, hrows = profiles(a, cands)
-        slot = list(hrows[0])
-        slot[1] = (slot[1][0] + 1, slot[1][1])
-        return vrows, grows, (tuple(slot),) + hrows[1:]
+    def altered(a, cands, vec):
+        out = scalars(a, cands, vec)
+        out[0][1] += 1
+        return out
 
-    monkeypatch.setattr(tables, "_candidate_profiles", altered)
+    monkeypatch.setattr(tables, "_slot_scalars", altered)
     with pytest.raises(IntegrityError, match=r"entry \(2, 3\) maps rho onto a wall"):
         build_table(g2)
 
