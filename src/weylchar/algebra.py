@@ -7,6 +7,8 @@ Conventions used throughout the package:
 * The invariant form is normalised so that short roots have squared length 2.
   Long roots then have squared length 4 (families B, C, F) or 6 (G2).  For G2
   the first simple root is the long one, so root_norms == (6, 2).
+* build_algebra derives d_i = (a_i, a_i)/2 and the columns of the Cartan
+  adjugate once and holds both on Algebra, where every module reads them.
 * Vectors are rows of coordinates in one of two bases: the simple roots
   ("root" basis) or the fundamental weights ("weight" basis).  Because
   a_i = sum_j cartan[i][j] l_j, rows convert by  m = n @ C  and  n = m @ C^-1.
@@ -93,8 +95,10 @@ class Algebra(Frozen):
     """Immutable root-system data for one simple algebra.
 
     Instances are interned by build_algebra, so identity comparison is fine.
-    cartan_adjugate and cartan_det are the integer adjugate and the
-    determinant of cartan, so that C^-1 = cartan_adjugate / cartan_det.
+    d holds d_i = (a_i, a_i)/2, the one copy the package reads (root_norms
+    is 2d).  cartan_adjugate and cartan_det are the integer adjugate and the
+    determinant of cartan, so that C^-1 = cartan_adjugate / cartan_det;
+    _adjugate_row multiplies by its columns, adjugate_columns.
     gram_root holds the invariant form on root-basis rows, and
     gram_weight_scaled the form on weight-basis rows times cartan_det, so
     that both stay integer.
@@ -108,7 +112,7 @@ class Algebra(Frozen):
         "family",
         "rank",
         "cartan",
-        "root_norms",
+        "d",                       # (a_i, a_i) / 2, integers
         "positive_roots",          # WeightVec, root basis, by height then lex
         "positive_roots_weight",   # integer weight-basis rows, same order
         "fundamental_weights",     # WeightVec, weight basis
@@ -116,8 +120,13 @@ class Algebra(Frozen):
         "gram_root",               # integer entries
         "gram_weight_scaled",      # integer entries, scale cartan_det
         "cartan_adjugate",         # integer entries
+        "adjugate_columns",        # the columns of cartan_adjugate
         "cartan_det",              # int, positive
     )
+
+    @property
+    def root_norms(self):
+        return tuple([2 * x for x in self.d])
 
     @property
     def name(self):
@@ -154,6 +163,10 @@ def weyl_order(family, rank):
 
 
 ENVELOPE_MAX_ORDER = 51840
+# A character is refused past either count.  E6 at rho has 226 dominant and
+# 1.25 million weights in all; G2 descends to 10^5 in 0.5 s on 2 cores.
+MAX_DOMINANT_WEIGHTS = 100000
+MAX_CHARACTER_WEIGHTS = 2000000
 
 
 def check_envelope(a):
@@ -292,17 +305,11 @@ def _build_algebra(family, rank):
     )
 
     pos = _positive_root_coords(cartan)
-    # the sum of all positive roots must equal twice the Weyl vector
-    total = tuple(sum(n[k] for n in pos) for k in range(r))
-    two_rho = linalg.vec_mat((2,) * r, cartan_adjugate)
-    if any(t * cartan_det != x for t, x in zip(total, two_rho)):
-        raise IntegrityError("positive root closure is inconsistent")
-
-    return Algebra(
+    a = Algebra(
         family=family,
         rank=r,
         cartan=cartan,
-        root_norms=tuple(2 * x for x in d),
+        d=d,
         positive_roots=tuple(WeightVec.root(n) for n in pos),
         positive_roots_weight=tuple(linalg.vec_mat(n, cartan) for n in pos),
         fundamental_weights=tuple(
@@ -313,8 +320,14 @@ def _build_algebra(family, rank):
         gram_root=gram_root,
         gram_weight_scaled=gram_weight_scaled,
         cartan_adjugate=cartan_adjugate,
+        adjugate_columns=tuple(zip(*cartan_adjugate)),
         cartan_det=cartan_det,
     )
+    # the sum of all positive roots must equal twice the Weyl vector
+    total = tuple(sum(n[k] for n in pos) for k in range(r))
+    if any(t * cartan_det != x for t, x in zip(total, _adjugate_row(a, (2,) * r))):
+        raise IntegrityError("positive root closure is inconsistent")
+    return a
 
 
 # under the public name for the callers that empty it, as perfbench does
@@ -362,21 +375,24 @@ def read_int(text, what):
     return int(text)
 
 
-def _root_key(a, e):
-    """Sort key of the weight-basis row e: height, then lex, in the root basis.
+def _adjugate_row(a, e):
+    """e @ cartan_adjugate: the root-basis row of the weight-basis row e times
+    cartan_det > 0, in integers when e is, from the columns held on a."""
+    return tuple([sum(map(mul, e, col)) for col in a.adjugate_columns])
 
-    Uses e @ cartan_adjugate, the root row times cartan_det > 0, in integers.
-    """
-    n = linalg.vec_mat(e, a.cartan_adjugate)
+
+def _root_key(a, e):
+    """Sort key of the weight-basis row e: height, then lex, of _adjugate_row."""
+    n = _adjugate_row(a, e)
     return sum(n), n
 
 
 def _root_row(a, e):
     """The integer root-basis row of e, a weight-basis row of the root lattice:
-    e @ cartan_adjugate divided exactly by cartan_det, else IntegrityError.
+    _adjugate_row divided exactly by cartan_det, else IntegrityError.
     """
     det = a.cartan_det
-    n = linalg.vec_mat(e, a.cartan_adjugate)
+    n = _adjugate_row(a, e)
     if any(x % det for x in n):
         raise IntegrityError(f"weight row {tuple(e)} is not in the root lattice")
     return tuple([x // det for x in n])
@@ -405,8 +421,7 @@ def root_coords(a, v):
     from fractions import Fraction
 
     return tuple(
-        _normalize(Fraction(x, a.cartan_det))
-        for x in linalg.vec_mat(v.coords, a.cartan_adjugate)
+        _normalize(Fraction(x, a.cartan_det)) for x in _adjugate_row(a, v.coords)
     )
 
 
@@ -435,9 +450,8 @@ def bilinear(a, v, w):
     # mixed bases pair cleanly: (l_i, a_j) = delta_ij (a_j, a_j)/2
     if v.basis == ROOT:
         v, w = w, v
-    halves = tuple(n // 2 for n in a.root_norms)
     return _normalize(
-        sum(Fraction(x) * y * h for x, y, h in zip(v.coords, w.coords, halves))
+        sum(Fraction(x) * y * h for x, y, h in zip(v.coords, w.coords, a.d))
     )
 
 
@@ -505,12 +519,18 @@ def _spread_orbits(cartan, dominant):
 
     A character is W-invariant, so each dominant weight passes its
     multiplicity to every row of its orbit (_orbit_rows).  Weights of
-    multiplicity zero are left out.
+    multiplicity zero are left out.  Past MAX_CHARACTER_WEIGHTS weights it
+    raises EnvelopeError.
     """
     full = {}
     for mu, mult in dominant.items():
         if mult:
             full.update(dict.fromkeys(_orbit_rows(cartan, mu), mult))
+            if len(full) > MAX_CHARACTER_WEIGHTS:
+                raise EnvelopeError(
+                    f"the character has more than {MAX_CHARACTER_WEIGHTS} "
+                    "weights, past the supported envelope"
+                )
     return full
 
 
@@ -558,10 +578,10 @@ def pair_with_root(a, m, n):
     """(mu, alpha) for mu in raw weight coords m and alpha in raw root coords n.
 
     Uses (l_i, a_j) = delta_ij (a_j, a_j)/2, so the value is just the sum of
-    m_i n_i d_i with d_i = root_norms[i] / 2 an integer.  Stays in plain ints
-    whenever both coordinate rows are integers, which is the hot case.
+    m_i n_i d_i with the integers d_i of a.d.  Stays in plain ints whenever
+    both coordinate rows are integers, which is the hot case.
     """
-    return sum(m[i] * n[i] * (a.root_norms[i] // 2) for i in range(a.rank))
+    return sum(map(mul, map(mul, m, n), a.d))
 
 
 def weyl_dimension(a, weight):
@@ -598,7 +618,8 @@ def _dominant_weights_below(a, top):
     weights", Adv. Math. 136 (1998), Cor. 2.7).  Returns a list of (weight
     coords, depth coords) sorted by increasing depth height, which is the
     order the Freudenthal and Racah recursions need; the depth is top - mu
-    in the root basis, so it determines mu and the order is total.
+    in the root basis, so it determines mu and the order is total.  Past
+    MAX_DOMINANT_WEIGHTS weights the descent stops with EnvelopeError.
     """
     r = range(a.rank)
     steps = _root_rows(a)
@@ -614,5 +635,10 @@ def _dominant_weights_below(a, top):
                 if nu not in depth_of and min(nu) >= 0:
                     depth_of[nu] = tuple([depth[k] + n[k] for k in r])
                     nxt.append(nu)
+                    if len(depth_of) > MAX_DOMINANT_WEIGHTS:
+                        raise EnvelopeError(
+                            f"more than {MAX_DOMINANT_WEIGHTS} dominant weights "
+                            f"lie below {top}, past the supported envelope"
+                        )
         frontier = nxt
     return sorted(depth_of.items(), key=lambda t: (sum(t[1]), t[1]))

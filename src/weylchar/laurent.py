@@ -59,10 +59,6 @@ class LaurentPoly:
     def one(cls, rank):
         return cls._raw(rank, {(0,) * rank: 1})
 
-    @classmethod
-    def monomial(cls, rank, exps, coeff=1):
-        return cls(rank, {tuple(exps): coeff})
-
     def is_zero(self):
         return not self.terms
 
@@ -82,20 +78,6 @@ class LaurentPoly:
             raise InputError(f"expected LaurentPoly, got {type(other).__name__}")
         if self.rank != other.rank:
             raise InputError(f"rank mismatch: {self.rank} vs {other.rank}")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly._raw(self.rank, out)
-
-    def __neg__(self):
-        return LaurentPoly._raw(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         self._check(other)
@@ -146,10 +128,6 @@ class LaurentPoly:
 
     def coeff(self, exps):
         return self.terms.get(tuple(exps), 0)
-
-    def eval_ones(self):
-        """Value with every variable set to 1: the coefficient sum."""
-        return sum(self.terms.values())
 
     def __repr__(self):
         n = len(self.terms)

@@ -103,10 +103,9 @@ def _require_coroot_rows(a, cands):
     moves it by an element of the coroot lattice; so is every h . v, which
     _slot_scalars divides exactly.
     """
-    d = [n // 2 for n in a.root_norms]
     for i, slot in enumerate(cands):
         for g in slot:
-            if any(x * dk % d[i] for x, dk in zip(g.coords, d)):
+            if any(x * dk % a.d[i] for x, dk in zip(g.coords, a.d)):
                 raise IntegrityError(
                     f"drop {g.coords} of slot {i + 1} has no integral coroot row"
                 )
@@ -115,11 +114,10 @@ def _require_coroot_rows(a, cands):
 def _slot_scalars(a, cands, vec):
     """Per slot i and candidate g: h . vec for g's coroot row h, that is
     (g . (d o vec)) / d_i, exact once _require_coroot_rows has passed."""
-    d = [n // 2 for n in a.root_norms]
-    dv = list(map(mul, d, vec))
+    dv = list(map(mul, a.d, vec))
     return [
         [sum(map(mul, g.coords, dv)) // di for g in slot]
-        for di, slot in zip(d, cands)
+        for di, slot in zip(a.d, cands)
     ]
 
 
@@ -133,17 +131,16 @@ def _compatibility(a, cands):
     for every candidate, as each is l_i - w l_i.
     """
     r = a.rank
-    d = [n // 2 for n in a.root_norms]
     compat = {}
     for i in range(r):
         forms = []
         for g in cands[i]:
             gx = list(linalg.vec_mat(g.coords, a.gram_root))
-            gx[i] -= d[i]
+            gx[i] -= a.d[i]
             forms.append(gx)
         for j in range(i + 1, r):
             rows = [g.coords for g in cands[j]]
-            targets = [d[j] * g.coords[j] for g in cands[i]]
+            targets = [a.d[j] * g.coords[j] for g in cands[i]]
             compat[(i, j)] = [
                 frozenset(
                     y for y, gy in enumerate(rows) if sum(map(mul, gx, gy)) == t
@@ -222,8 +219,7 @@ def _signatures(a, levels, cands):
     """
     roots = [n.coords for n in a.positive_roots]
     npos = len(roots)
-    d = [n // 2 for n in a.root_norms]
-    rho = [sum(map(mul, n, d)) for n in roots]   # (rho, alpha)
+    rho = [sum(map(mul, n, a.d)) for n in roots]   # (rho, alpha)
     simple = [[sum(map(mul, row, n)) for n in roots] for row in a.gram_root]
     totals = _slot_scalars(a, cands, [1] * a.rank)
     top = _pack([_HALF] * npos)   # the top bit of every digit
@@ -344,10 +340,9 @@ def _monomial_map(table, selector):
     (rho + L) @ U^-1.
     """
     a = table.algebra
-    d = [n // 2 for n in a.root_norms]
     m = [list(row) for row in linalg.identity(a.rank)]
-    for slot, x, di, crow in zip(table.candidates, selector, d, a.cartan):
-        for row, gk, dk in zip(m, slot[x - 1].coords, d):
+    for slot, x, di, crow in zip(table.candidates, selector, a.d, a.cartan):
+        for row, gk, dk in zip(m, slot[x - 1].coords, a.d):
             y = gk * dk // di
             for k, c in enumerate(crow):
                 row[k] -= y * c

@@ -107,6 +107,11 @@ def test_root_norm_goldens():
     assert algebra("C3").root_norms == (2, 2, 4)
     assert algebra("F4").root_norms == (4, 4, 2, 2)
     assert algebra("A3").root_norms == (2, 2, 2)
+    assert algebra("G2").d == (3, 1)
+    assert algebra("B3").d == (2, 2, 1)
+    assert algebra("C3").d == (1, 1, 2)
+    assert algebra("F4").d == (2, 2, 1, 1)
+    assert algebra("A3").d == (1, 1, 1)
 
 
 def test_positive_root_counts():

@@ -372,11 +372,30 @@ def test_rank_past_the_envelope_exits_4_at_once(capsys):
         assert err.startswith("error: ") and "rank envelope" in err
 
 
+def test_runaway_characters_exit_4_at_once(capsys):
+    """Weights far below 2^60 whose characters have too many dominant
+    weights are refused by the descent's cap, not computed for minutes."""
+    for argv in [
+        ("character", "--algebra", "G2", "--weight", "100000000000,0"),
+        ("character", "--algebra", "A1", "--weight", "1000000000"),
+        ("tensor", "--algebra", "A1", "--left", "1000000000",
+         "--right", "1000000000"),
+    ]:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "dominant weights" in err
+
+
 def test_exit_code_3_on_failed_verification(capsys, monkeypatch):
     real = weylgroup.alternant_direct
 
     def perturbed(a, weight, group=None):
-        return real(a, weight, group=group) + LaurentPoly.one(a.rank)
+        alt = real(a, weight, group=group)
+        zero = (0,) * a.rank
+        return LaurentPoly(a.rank, {**alt.terms, zero: alt.coeff(zero) + 1})
 
     monkeypatch.setattr(weylgroup, "alternant_direct", perturbed)
     code, out, err = run(capsys, "verify", "--algebra", "A2")

@@ -7,9 +7,12 @@ import time
 import pytest
 
 from oracles import dominant_weights_in_box
+from weylchar import algebra as algebra_module
 from weylchar.algebra import (
     ENVELOPE_MAX_ORDER,
+    MAX_DOMINANT_WEIGHTS,
     WeightVec,
+    _spread_orbits,
     build_algebra,
     check_envelope,
     weight_coords,
@@ -212,6 +215,24 @@ def test_descent_finds_the_box_in_the_same_order():
         ), (a.name, coords)
         checked += 1
     assert checked == 169
+
+
+def test_descents_in_use_stay_under_the_cap():
+    """The descent cap admits rho of E6, F4 and D5 with room to spare."""
+    for name, count in [("E6", 226), ("F4", 58), ("D5", 44)]:
+        a = algebra(name)
+        assert len(_dominant_weights_below(a, (1,) * a.rank)) == count
+        assert count < MAX_DOMINANT_WEIGHTS
+
+
+def test_spread_past_the_cap_is_refused(monkeypatch):
+    """G2 (1, 1) has 31 weights: spread under a cap of 30, it is refused."""
+    a = algebra("G2")
+    dominant = {mu: 1 for mu, _ in _dominant_weights_below(a, (1, 1))}
+    assert len(_spread_orbits(a.cartan, dominant)) == 31
+    monkeypatch.setattr(algebra_module, "MAX_CHARACTER_WEIGHTS", 30)
+    with pytest.raises(EnvelopeError, match="more than 30 weights"):
+        _spread_orbits(a.cartan, dominant)
 
 
 def test_freudenthal_on_e7_and_e8_without_the_group():
