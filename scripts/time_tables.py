@@ -1,6 +1,7 @@
 """Time the per-algebra stages: orbit drops, table build, group generation,
-one alternant by either route, and the Freudenthal recursion and one
-character at rho; and measure what one built table holds.
+one alternant by either route, the Freudenthal recursion and one character
+at rho, and one character at l_1 from a built table; and measure what one
+built table holds.
 
 Each stage is run --repeat times per algebra and the best wall time is
 printed in milliseconds:
@@ -15,6 +16,9 @@ printed in milliseconds:
     freud ρ     freudenthal_multiplicities at the Weyl vector rho
     char ρ      characters.character at rho by the table route, from empty
                 caches, so the table build is included
+    char l1     characters.character at the first fundamental weight l_1 by
+                the table route, with the table already built and only the
+                character cache emptied
 
 and, from one more build outside the timings,
 
@@ -78,6 +82,11 @@ def character_from_empty_caches(a):
     characters.character(a, a.weyl_vector)
 
 
+def character_from_built_table(a, weight):
+    characters._character_cached.cache_clear()
+    characters.character(a, weight)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5,
@@ -91,7 +100,7 @@ def main():
     print(
         f"{'algebra':>8} {'|W|':>6} {'drops':>9} {'build':>9} "
         f"{'generate':>9} {'alt table':>10} {'alt W':>9} {'freud ρ':>9} "
-        f"{'char ρ':>9} {'held':>9}"
+        f"{'char ρ':>9} {'char l1':>9} {'held':>9}"
     )
     for name in args.algebras:
         a = parse_algebra(name)
@@ -115,11 +124,14 @@ def main():
             lambda: freudenthal_multiplicities(a, a.weyl_vector), args.repeat
         )
         char = best_ms(lambda: character_from_empty_caches(a), args.repeat)
+        tables.shared_table(a)
+        l1 = a.fundamental_weights[0]
+        char_l1 = best_ms(lambda: character_from_built_table(a, l1), args.repeat)
         held = held_bytes(a) / 1e6
         print(
             f"{a.name:>8} {table.size:>6} {drops:>7.1f}ms {build:>7.1f}ms "
             f"{gen:>7.1f}ms {alt_table:>8.3f}ms {alt_w:>7.3f}ms {freud:>7.1f}ms "
-            f"{char:>7.1f}ms {held:>7.3f}MB"
+            f"{char:>7.1f}ms {char_l1:>7.1f}ms {held:>7.3f}MB"
         )
 
 

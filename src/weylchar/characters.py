@@ -9,23 +9,20 @@ than lambda,
     m(mu) = - sum over w != 1 of sgn(w) m(dom(mu + rho - w rho)),
 
 where dom is the dominant representative of a Weyl orbit.  Only the w with
-rho - w rho <= lambda - mu in the root order contribute, so the terms of
-A_rho are read once, sorted by the height of rho - w rho, and each mu scans
-the prefix no higher than lambda - mu.  The dominant multiplicities are then
-spread over their orbits.  The result is the coefficient map of the
-character: exponent rows are weight-basis coordinates of the weights of the
-module.
+rho - w rho <= lambda - mu in the root order contribute, so the recursion
+keeps the shifts no deeper than the deepest lambda - mu, and each mu reads
+those below lambda - mu.  The dominant multiplicities are then spread over
+their orbits.  The result is the coefficient map of the character: exponent
+rows are weight-basis coordinates of the weights of the module.
 
-Two construction routes exist for A_rho and must agree: "gamma" reads it
-from the per-algebra table, "weyl" sums over the enumerated group.  The
-recursion itself is route-independent.  Every multiplicity must come out
+Two construction routes exist for the shifts and must agree: "gamma" reads
+them off the per-algebra table, "weyl" sums A_rho over the enumerated group.
+The recursion itself is route-independent.  Every multiplicity must come out
 positive and their sum must equal the Weyl dimension; otherwise
 IntegrityError is raised, as a corrupted A_rho would cause.
 """
 
-from bisect import bisect_right
 from functools import lru_cache
-from itertools import islice
 from math import gcd
 from operator import add, le
 
@@ -43,6 +40,7 @@ from .algebra import (
 from .errors import InputError, IntegrityError
 from .frozen import Frozen
 from .laurent import LaurentPoly
+from .linalg import vec_mat
 
 METHODS = ("gamma", "weyl")
 
@@ -68,31 +66,34 @@ def character(a, weight, method="gamma"):
     """Character of the irreducible module with the given highest weight.
 
     weight may be a WeightVec or a row of weight-basis coordinates.  Method
-    "gamma" reads A_rho from the process-wide table, "weyl" sums it over a
-    Weyl group generated for the call.  The result is cached per (algebra,
-    weight, method).
+    "gamma" reads the terms of A_rho from the process-wide table, "weyl" sums
+    them over a Weyl group generated for the call.  The result is cached per
+    (algebra, weight, method).
     """
     if not isinstance(weight, WeightVec):
         weight = WeightVec.weight(tuple(weight))
     m = _require_dominant_integral(a, weight, what="highest weight")
+    if method not in METHODS:
+        raise InputError(
+            f"unknown method {method!r}; expected one of {METHODS}"
+        )
     return _character_cached(a, m, method)
 
 
 @lru_cache(maxsize=None)
 def _character_cached(a, m, method):
-    zero = WeightVec.weight((0,) * a.rank)
     if method == "gamma":
-        denominator = tables.alternant(tables.shared_table(a), zero)
-    elif method == "weyl":
+        shifts = tables.rho_shifts(tables.shared_table(a))
+    else:
         from . import weylgroup  # only this route enumerates the group
 
-        denominator = weylgroup.alternant_direct(a, zero)
-    else:
-        raise InputError(
-            f"unknown method {method!r}; expected one of {METHODS}"
-        )
+        zero = WeightVec.weight((0,) * a.rank)
+        shifts = [
+            (_root_row(a, [1 - x for x in e]), sign)
+            for e, sign in weylgroup.alternant_direct(a, zero).terms.items()
+        ]
     highest = WeightVec.weight(m)
-    dominant = _racah(a, m, _shifts(a, denominator))
+    dominant = _racah(a, _dominant_weights_below(a, m), shifts)
     terms = _spread_orbits(a.cartan, dominant)
     dimension = sum(terms.values())
     if dimension != weyl_dimension(a, highest):
@@ -109,40 +110,26 @@ def _character_cached(a, m, method):
     )
 
 
-def _shifts(a, denominator):
-    """The terms sgn(w) e^(w rho) of A_rho with w != 1, as shifts rho - w rho.
-
-    Each is (height, root row, weight row, sign), sorted by height; rho - w rho
-    is a sum of positive roots, so its root row is a non-negative integer row.
+def _racah(a, below, shifts):
+    """Dominant multiplicities of the descent below, by Racah's recursion on
+    the pairs (root row of rho - w rho, sgn w), kept where the row is nonzero
+    and no deeper than reach, the componentwise maximum of the depths.  The
+    weights come in order of increasing depth, and dom(mu + s) lies strictly
+    higher than mu, so its multiplicity is known when mu is reached; a
+    dominant weight not in below is no weight of the module and counts 0.
     """
-    out = []
-    for e, sign in denominator.terms.items():
-        row = tuple([1 - x for x in e])
-        if any(row):
-            root = _root_row(a, row)
-            out.append((sum(root), root, row, sign))
-    out.sort()
-    return out
-
-
-def _racah(a, top, shifts):
-    """Dominant multiplicities below top, by Racah's recursion on the shifts.
-
-    The weights come in order of increasing depth, and dom(mu + s) lies
-    strictly higher than mu, so its multiplicity is known when mu is reached;
-    a dominant weight not below top is no weight of the module and counts 0.
-    """
-    heights = [t[0] for t in shifts]
-    cartan = a.cartan
+    reach = [max(col) for col in zip(*[depth for _, depth in below])]
+    kept = [
+        (root, vec_mat(root, a.cartan), sign)
+        for root, sign in shifts
+        if any(root) and all(map(le, root, reach))
+    ]
     dominant = {}
-    for mu, depth in _dominant_weights_below(a, top):
-        if not any(depth):
-            dominant[mu] = 1
-            continue
-        acc = 0
-        for _, root, row, sign in islice(shifts, bisect_right(heights, sum(depth))):
+    for mu, depth in below:
+        acc = 0 if any(depth) else 1   # m(top) = 1: no kept row is <= 0
+        for root, row, sign in kept:
             if all(map(le, root, depth)):
-                nu = _dominant_coords(cartan, map(add, mu, row))[0]
+                nu = _dominant_coords(a.cartan, map(add, mu, row))[0]
                 acc -= sign * dominant.get(nu, 0)
         if acc <= 0:
             raise IntegrityError("character has a non-positive multiplicity")

@@ -287,18 +287,18 @@ def _verify_checks(a, table, depth):
     )
 
     bad = None
-    for coords in grid:
-        ch = character(a, coords, method="gamma")
-        if multiplicities(ch) != freudenthal_multiplicities(a, WeightVec.weight(coords)):
-            bad = ("multiplicities", coords)
-            break
-        if ch.dimension != weyl_dimension(a, WeightVec.weight(coords)):
-            bad = ("dimension", coords)
-            break
+    try:  # character() itself checks positivity and the Weyl dimension
+        for coords in grid:
+            ch = character(a, coords, method="gamma")
+            if multiplicities(ch) != freudenthal_multiplicities(a, WeightVec.weight(coords)):
+                bad = f"first mismatch (multiplicities) at {list(coords)}"
+                break
+    except IntegrityError as exc:
+        bad = f"{exc} (at {list(coords)})"
     yield (
         "characters-match-recursion-and-dimension",
         bad is None,
-        f"{len(grid)} weights at depth {depth}" if bad is None else f"first mismatch ({bad[0]}) at {list(bad[1])}",
+        f"{len(grid)} weights at depth {depth}" if bad is None else bad,
     )
 
     if len(a.positive_roots) <= tables.EXPANSION_MAX_ROOTS:

@@ -2,8 +2,8 @@
 
 The numerator (alternant) of the character of a highest-weight module is
 classically a signed sum over the whole Weyl group.  This module builds, once
-per algebra, a table that reproduces that sum without ever enumerating the
-group when reconstructing:
+per algebra, a table that reproduces that sum, and the shifts rho - w rho
+that Racah's recursion reads, without enumerating the group:
 
 * For each slot i the candidate vectors are the differences l_i - mu with mu
   running over the Weyl orbit of the i-th fundamental weight l_i.  Each
@@ -328,6 +328,19 @@ def alternant(table, weight):
     if len(terms) != len(rows):
         raise IntegrityError("table produced a repeated exponent row")
     return LaurentPoly._raw(a.rank, terms)
+
+
+def rho_shifts(table):
+    """(root row of rho - U^-1 rho, sgn U) per entry U, in leaf order: its
+    coordinate k is h_k . rho for the candidate U selects in slot k."""
+    a = table.algebra
+    scalars = _slot_scalars(a, table.candidates, (1,) * a.rank)
+    rows = [()]
+    for (parents, cands), ts in zip(table.levels, scalars):
+        rows = [rows[p] + (ts[c],) for p, c in zip(parents, cands)]
+    if len(set(rows)) != len(rows):
+        raise IntegrityError("table produced a repeated row of rho - w rho")
+    return list(zip(rows, table.signatures))
 
 
 def _monomial_map(table, selector):

@@ -5,10 +5,11 @@ import itertools
 from fractions import Fraction
 
 from weylchar import linalg
-from weylchar.algebra import WeightVec, _root_key, bilinear
+from weylchar.algebra import WeightVec, _root_key, _root_row, bilinear
 from weylchar.characters import character
 from weylchar.errors import InputError, IntegrityError
 from weylchar.laurent import LaurentPoly
+from weylchar.tables import alternant
 
 
 # the types the oracle suites cover, each small enough for every check
@@ -171,6 +172,17 @@ def exact_div(num, den):
     delta = tuple(shift_num[k] - shift_den[k] for k in r)
     return LaurentPoly._raw(
         rank, {tuple(e[k] + delta[k] for k in r): c for e, c in quotient.items()}
+    )
+
+
+def alternant_shifts(table):
+    """The sorted pairs (root row of rho - w rho, sgn w) of the Weyl
+    denominator: each term sgn(w) e^(w rho) of the table's alternant at
+    weight zero gives rho - w rho, converted exactly to the root basis."""
+    a = table.algebra
+    den = alternant(table, WeightVec.weight((0,) * a.rank))
+    return sorted(
+        (_root_row(a, [1 - x for x in e]), sign) for e, sign in den.terms.items()
     )
 
 

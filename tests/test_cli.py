@@ -406,15 +406,13 @@ def test_exit_code_3_on_failed_verification(capsys, monkeypatch):
 
 
 def test_exit_code_3_on_corrupted_denominator(capsys, monkeypatch):
-    real = tables.alternant
+    real = tables.rho_shifts
 
-    def one_sign_flipped(table, weight):
-        den = real(table, weight)
-        terms = dict(den.terms)
-        terms[(-1, 4)] *= -1  # the term of s_1 rho = rho - a_1
-        return LaurentPoly(den.rank, terms)
+    def one_sign_flipped(table):
+        # the row of rho - s_1 rho = a_1
+        return [(row, -s if row == (1, 0) else s) for row, s in real(table)]
 
-    monkeypatch.setattr(tables, "alternant", one_sign_flipped)
+    monkeypatch.setattr(tables, "rho_shifts", one_sign_flipped)
     characters._character_cached.cache_clear()
     with pytest.raises(IntegrityError):
         character(build_algebra("G", 2), (1, 0))
@@ -422,6 +420,36 @@ def test_exit_code_3_on_corrupted_denominator(capsys, monkeypatch):
     assert code == 3
     assert err.startswith("error:") and out == ""
     characters._character_cached.cache_clear()
+
+
+def test_verify_reports_a_failing_character(capsys, monkeypatch):
+    """With one sign of the G2 table flipped, verify still prints its report:
+    the character check fails like the two alternant checks, stderr stays
+    empty and the exit code is 3."""
+    g2 = build_algebra("G", 2)
+    table = tables.shared_table(g2)
+    n = [row for row, _ in tables.rho_shifts(table)].index((1, 0))  # s_1
+    signs = list(table.signatures)
+    signs[n] = -signs[n]
+    flipped = tables.AlternantTable(
+        algebra=g2, candidates=table.candidates, levels=table.levels,
+        signatures=tuple(signs),
+    )
+    monkeypatch.setattr(tables, "shared_table", lambda a: flipped)
+    characters._character_cached.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "--algebra", "G2", "--depth", "1")
+    finally:
+        characters._character_cached.cache_clear()
+    assert code == 3 and err == ""
+    failed = [line for line in out.splitlines() if line.startswith("  FAIL ")]
+    assert [line.split(":")[0] for line in failed] == [
+        "  FAIL alternant-routes-agree",
+        "  FAIL characters-match-recursion-and-dimension",
+        "  FAIL signatures-match-expansion",
+    ]
+    assert "non-positive multiplicity" in failed[1]
+    assert out.endswith("result: FAILED\n")
 
 
 def test_exit_code_3_on_negative_tensor_multiplicity(capsys, monkeypatch):

@@ -8,15 +8,15 @@ Freudenthal recursion and the Weyl dimension formula.
 """
 
 import itertools
+from operator import le
 
 import pytest
 
-from oracles import exact_div
+from oracles import ORACLE_ALGEBRAS, alternant_shifts, exact_div
 from weylchar import characters, tables
 from weylchar.algebra import WeightVec, build_algebra
 from weylchar.characters import character, multiplicities
 from weylchar.errors import IntegrityError
-from weylchar.laurent import LaurentPoly
 from weylchar.weylgroup import freudenthal_multiplicities, weyl_dimension
 
 
@@ -55,38 +55,41 @@ def test_matches_long_division_by_the_denominator_alternant():
 
 
 def test_character_builds_only_the_denominator(monkeypatch, fresh_characters):
+    """A character reads the table's shifts once and builds no alternant."""
     a = algebra("B3")
-    built = []
-    real = tables.alternant
+    read = []
+    real = tables.rho_shifts
 
-    def counting(table, weight):
-        built.append(tuple(weight.coords))
-        return real(table, weight)
+    def counting(table):
+        read.append(table.algebra)
+        return real(table)
 
-    monkeypatch.setattr(tables, "alternant", counting)
+    def refused(table, weight):
+        raise AssertionError("a character built an alternant")
+
+    monkeypatch.setattr(tables, "rho_shifts", counting)
+    monkeypatch.setattr(tables, "alternant", refused)
     character(a, (0, 1, 1))
     character(a, (1, 0, 0))
-    assert built == [(0, 0, 0)] * 2
+    assert read == [a] * 2
 
 
 def test_every_flipped_sign_of_the_denominator_is_caught(
     g2, monkeypatch, fresh_characters
 ):
-    den = tables.alternant(tables.shared_table(g2), WeightVec.weight((0, 0)))
+    shifts = tables.rho_shifts(tables.shared_table(g2))
     genuine = character(g2, (1, 1)).poly
     caught = []
-    for e in sorted(den.terms):
-        terms = dict(den.terms)
-        terms[e] = -terms[e]
-        flipped = LaurentPoly(g2.rank, terms)
-        monkeypatch.setattr(tables, "alternant", lambda table, weight: flipped)
+    for n, (row, sign) in enumerate(shifts):
+        flipped = shifts[:n] + [(row, -sign)] + shifts[n + 1:]
+        monkeypatch.setattr(tables, "rho_shifts", lambda table: flipped)
         characters._character_cached.cache_clear()
         try:
             got = character(g2, (1, 1)).poly
         except IntegrityError as exc:
             caught.append(str(exc))
         else:
-            assert got == genuine, e  # a flip that slips through changes nothing
+            assert got == genuine, row  # a flip that slips through changes nothing
     # positivity is checked first, as the recursion goes; the dimension
     # catches the flips that keep every multiplicity positive
     assert sum("non-positive multiplicity" in m for m in caught) == 2
@@ -94,9 +97,10 @@ def test_every_flipped_sign_of_the_denominator_is_caught(
     assert len(caught) == 4
 
 
-def test_a_repeated_leaf_is_refused(g2_table):
+def test_a_repeated_leaf_is_refused(g2_table, monkeypatch, fresh_characters):
     """A G2 table whose trie repeats one leaf, with its sign, gives an
-    alternant with a repeated exponent row, which alternant refuses."""
+    alternant with a repeated exponent row and a repeated shift rho - w rho;
+    alternant and character both refuse it."""
     *head, (parents, nodes) = g2_table.levels
     levels = (*head, (parents + parents[:1], nodes + nodes[:1]))
     table = tables.AlternantTable(
@@ -107,6 +111,40 @@ def test_a_repeated_leaf_is_refused(g2_table):
     )
     with pytest.raises(IntegrityError, match="repeated exponent row"):
         tables.alternant(table, WeightVec.weight((0, 0)))
+    monkeypatch.setattr(tables, "shared_table", lambda a: table)
+    with pytest.raises(IntegrityError, match="repeated row of rho - w rho"):
+        character(g2_table.algebra, (1, 0))
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS + ["E6"])
+def test_rho_shifts_equal_the_denominator_terms(name):
+    """The table's shifts equal the terms of A_rho, each converted exactly."""
+    table = tables.shared_table(algebra(name))
+    assert sorted(tables.rho_shifts(table)) == alternant_shifts(table)
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_both_routes_hand_racah_the_same_shifts(name, monkeypatch, fresh_characters):
+    """At l_1, l_r and rho, the shifts Racah reads, those no deeper than the
+    deepest depth of the descent, are the same rows by either route."""
+    a = algebra(name)
+    real = characters._racah
+    read = []
+
+    def recording(a, below, shifts):
+        reach = [max(col) for col in zip(*[depth for _, depth in below])]
+        read.append(sorted(t for t in shifts if all(map(le, t[0], reach))))
+        return real(a, below, shifts)
+
+    monkeypatch.setattr(characters, "_racah", recording)
+    for coords in (a.fundamental_weights[0].coords,
+                   a.fundamental_weights[-1].coords, (1,) * a.rank):
+        read.clear()
+        characters._character_cached.cache_clear()
+        for method in ("gamma", "weyl"):
+            character(a, coords, method)
+        gamma, weyl = read
+        assert gamma == weyl and gamma[0] == ((0,) * a.rank, 1), coords
 
 
 def test_f4_and_d5_against_recursion_and_dimension():
