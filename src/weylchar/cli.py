@@ -23,6 +23,7 @@ json or fractions, which would cost more start-up than a small request's
 arithmetic.
 """
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -243,6 +244,36 @@ def _cmd_dimension(args):
 
 # the most weights verify's grid may hold: --depth N checks (N + 1)^rank
 VERIFY_MAX_WEIGHTS = 4096
+# the most work verify may take on, in the units of _verify_work; a unit
+# took 1.1 to 4.3 microseconds of a whole request on a 2-core machine
+VERIFY_MAX_WORK = 5_000_000
+
+
+def _verify_work(a, depth, limit=VERIFY_MAX_WORK):
+    """The work verify --depth sets itself on a, counted up to past limit.
+
+    A grid weight lam costs |W| for its two alternants, and then, for each
+    dominant mu below lam, |W| (a bound on the orbit mu's multiplicity
+    spreads over) plus N (1 + ht(lam - mu)) for the N positive roots, as
+    Freudenthal walks up each root string from mu and none is longer than
+    ht(lam - mu).  The dominant mu are the descent the character and
+    Freudenthal both make; the grid is walked lazily, and the count stops
+    as soon as it passes limit.
+    """
+    from itertools import product
+
+    from .algebra import _dominant_weights_below, weyl_order
+
+    order = weyl_order(a.family, a.rank)
+    npos = len(a.positive_roots)
+    work = 0
+    for coords in product(range(depth + 1), repeat=a.rank):
+        below = _dominant_weights_below(a, coords)
+        work += order * (1 + len(below))
+        work += npos * sum(1 + sum(dp) for _, dp in below)
+        if work > limit:
+            break
+    return work
 
 
 def _verify_checks(a, table, depth):
@@ -331,6 +362,11 @@ def _cmd_verify(args):
         raise EnvelopeError(
             f"verify --depth N checks (N + 1)^{a.rank} weights of {a.name}, past "
             f"the grid envelope ({VERIFY_MAX_WEIGHTS})"
+        )
+    if _verify_work(a, depth) > VERIFY_MAX_WORK:
+        raise EnvelopeError(
+            f"verify --depth {depth} on {a.name} would take on more than "
+            f"{VERIFY_MAX_WORK} units of work, past the verify envelope"
         )
     table = tables.shared_table(a)
     checks = [
@@ -478,7 +514,31 @@ def _parse_args(argv):
     )
 
 
+def run(argv=None):
+    """The process entry of `weylchar` and `python -m weylchar`.
+
+    Runs main, flushes stdout and stderr, and ends the process with
+    os._exit(code), so that no module teardown runs after the answer.  A
+    reader that closes the pipe early (`| head`) ends the request with exit
+    code 1 and no traceback; what is still buffered is dropped.  A closed
+    stream (sys.stdout or sys.stderr is None) is not flushed.
+    """
+    try:
+        code = main(argv)
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        code = 1
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
+
+
 def main(argv=None):
+    """Run one command line; returns its exit code and never exits."""
     if argv is None:
         argv = sys.argv[1:]
     try:
@@ -499,4 +559,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

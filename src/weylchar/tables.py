@@ -49,7 +49,7 @@ from .errors import EnvelopeError, InputError, IntegrityError
 from .frozen import Frozen
 from .laurent import LaurentPoly
 
-_DIGIT = 64             # bits per coordinate in the packed rows of the trie walk
+_DIGIT = 64             # bits per coordinate in the packed rows and columns
 _HALF = 1 << (_DIGIT - 1)
 EXPANSION_MAX_ROOTS = 12
 
@@ -124,30 +124,64 @@ def _slot_scalars(a, cands, vec):
 def _compatibility(a, cands):
     """Which candidates of two slots meet the cross quadratic condition.
 
-    For i < j, compat[(i, j)][x] is the frozenset of indices y of slot j
-    with (l_i - g_x, l_j - g_y) = (l_i, l_j).  As (l_i, g) = d_i g_i, that
-    is (g_x, g_y) - d_i (g_y)_i = d_j (g_x)_j on the root rows, with the
-    form gram_root.  Indices are zero-based.  The diagonal condition holds
-    for every candidate, as each is l_i - w l_i.
+    For i < j, compat[(i, j)][x] is the bitmask (bit y set) of the indices y
+    of slot j with (l_i - g_x, l_j - g_y) = (l_i, l_j).  As (l_i, g) =
+    d_i g_i, that is (g_x, g_y) - d_i (g_y)_i = d_j (g_x)_j on the root rows,
+    with the form gram_root.  Indices are zero-based.  The diagonal condition
+    holds for every candidate, as each is l_i - w l_i.
+
+    Each coordinate column of slot j's root rows is packed into one integer
+    of 64-bit digits (_pack), so one x costs r multiplies: digit y of
+    2^63 + sum_k f_k column_k is f . g_y + 2^63, for f the row of g_x's
+    form.  One to_bytes and memoryview.cast("Q") read the digits out, and
+    those equal to the target plus 2^63 are the bits set.  Every dot product
+    and target must fit a signed 64-bit digit, or an EnvelopeError is raised
+    up front.
     """
-    r = a.rank
+    forms = []
+    for i, slot in enumerate(cands):
+        rows = [list(linalg.vec_mat(g.coords, a.gram_root)) for g in slot]
+        for f in rows:
+            f[i] -= a.d[i]
+        forms.append(rows)
     compat = {}
-    for i in range(r):
-        forms = []
-        for g in cands[i]:
-            gx = list(linalg.vec_mat(g.coords, a.gram_root))
-            gx[i] -= a.d[i]
-            forms.append(gx)
-        for j in range(i + 1, r):
-            rows = [g.coords for g in cands[j]]
+    for j in range(1, a.rank):
+        columns = list(zip(*[g.coords for g in cands[j]]))
+        packed = list(map(_pack, columns))
+        tops = [max(map(abs, col)) for col in columns]
+        width = len(cands[j])
+        offset = _pack([_HALF] * width)
+        for i in range(j):
             targets = [a.d[j] * g.coords[j] for g in cands[i]]
-            compat[(i, j)] = [
-                frozenset(
-                    y for y, gy in enumerate(rows) if sum(map(mul, gx, gy)) == t
+            bound = max(
+                max(map(abs, targets)),
+                max(sum(map(mul, map(abs, f), tops)) for f in forms[i]),
+            )
+            if bound >= _HALF:
+                raise EnvelopeError(
+                    f"compatibility dot products may reach {bound}, past the "
+                    "signed 64-bit digits of the packed columns"
                 )
-                for gx, t in zip(forms, targets)
+            compat[(i, j)] = [
+                _positions(
+                    memoryview(
+                        (offset + sum(map(mul, f, packed))).to_bytes(8 * width, "little")
+                    ).cast("Q").tolist(),
+                    t + _HALF,
+                )
+                for f, t in zip(forms[i], targets)
             ]
     return compat
+
+
+def _positions(values, t):
+    """The bitmask of the positions at which the list values holds t."""
+    mask = 0
+    y = -1
+    for _ in range(values.count(t)):
+        y = values.index(t, y + 1)
+        mask |= 1 << y
+    return mask
 
 
 def selectors(levels):
@@ -241,7 +275,9 @@ def build_table(a):
 
     The search takes the slots in their natural order and each slot's
     candidates in increasing index, pruning the later slots' domains with
-    the compatibility sets, so it meets the selectors sorted.  It writes
+    the compatibility sets, so it meets the selectors sorted.  Domains and
+    sets are bitmasks of candidate indices, and a domain's set bits are
+    visited from low to high.  It writes
     the trie as it goes: at each selector found, the nodes of its path not
     yet in the trie.  Node n of level k extends node parents[n] of level
     k - 1 by the zero-based candidate candidates[n] of slot k; the last
@@ -256,32 +292,47 @@ def build_table(a):
     cands = tuple(orbit_drops(a, i) for i in range(r))
     _require_coroot_rows(a, cands)
     compat = _compatibility(a, cands)
+    later = [[compat[(k, s)] for s in range(k + 1, r)] for k in range(r)]
     levels = tuple(([], []) for _ in range(r))
+    last = r - 1
     choice = [0] * r
     made = 0   # levels of the current path already in the trie
 
     def descend(k, domains):
         nonlocal made
-        if k == r:
-            for j in range(made, r):
+        dom = domains[0]
+        if k == last:   # every bit left is a leaf under the current path
+            for j in range(made, last):
                 parents, nodes = levels[j]
                 parents.append(len(levels[j - 1][0]) - 1 if j else 0)
                 nodes.append(choice[j])
-            made = r
+            made = last
+            parents, nodes = levels[last]
+            parent = len(levels[last - 1][0]) - 1 if last else 0
+            while dom:
+                low = dom & -dom
+                dom ^= low
+                parents.append(parent)
+                nodes.append(low.bit_length() - 1)
             return
-        for idx in sorted(domains[0]):
+        rows = later[k]
+        while dom:   # the set bits, low to high
+            low = dom & -dom
+            dom ^= low
+            idx = low.bit_length() - 1
             choice[k] = idx
-            made = min(made, k)
+            if made > k:
+                made = k
             narrowed = []
-            for s, dom in enumerate(domains[1:], k + 1):
-                nd = dom & compat[(k, s)][idx]
+            for d, row in zip(domains[1:], rows):
+                nd = d & row[idx]
                 if not nd:
                     break
                 narrowed.append(nd)
             else:
                 descend(k + 1, narrowed)
 
-    descend(0, [frozenset(range(len(slot))) for slot in cands])
+    descend(0, [(1 << len(slot)) - 1 for slot in cands])
 
     found = len(levels[-1][0])
     if found != expected:

@@ -2,24 +2,23 @@
 --cache-dir, argument parsing and the JSON writer."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 import time
 
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import given, strategies as st
 
+import faults
 import golden_g2
 from oracles import ORACLE_ALGEBRAS
-from weylchar import characters, cli, tables, tensor, weylgroup
+from weylchar import characters, cli, tables, tensor
 from weylchar.algebra import build_algebra
 from weylchar.characters import character
 from weylchar.cli import main
 from weylchar.errors import IntegrityError
-from weylchar.laurent import LaurentPoly
 
 
 def run(capsys, *argv):
@@ -227,6 +226,60 @@ def test_verify_refuses_a_grid_past_the_envelope(capsys, monkeypatch):
         assert err.endswith("past the grid envelope (4096)\n")
 
 
+# verify requests the work budget must admit: the benchmark's and CI's
+ADMITTED = [("B3", 1), ("C3", 1), ("F4", 1), ("D5", 1), ("E6", 0), ("G2", 2)] + [
+    (name, 0) for name in
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5"]
+]
+# and two it must refuse: each passes the grid envelope, and each ran for
+# minutes before the budget
+REFUSED = [("A7", 1), ("A1", 4095)]
+
+
+def test_verify_work_budget():
+    """From the estimates alone: nothing is verified."""
+    for name, depth in ADMITTED:
+        a = build_algebra(name[0], int(name[1:]))
+        assert cli._verify_work(a, depth) <= cli.VERIFY_MAX_WORK, name
+    for name, depth in REFUSED:
+        a = build_algebra(name[0], int(name[1:]))
+        assert (depth + 1) ** a.rank <= cli.VERIFY_MAX_WEIGHTS
+        assert cli._verify_work(a, depth) > cli.VERIFY_MAX_WORK, name
+
+
+def test_verify_work_counts_by_hand():
+    """|W| + sum over the dominant mu below lam of |W| + N (1 + ht(lam - mu)).
+
+    A1 (|W| = 2, N = 1): the weights 0 and 1 have only themselves below,
+    2 (1 + 1) + 1 = 5 each; the weight 2 has 2 and 0 = 2 - a_1 below,
+    2 (1 + 2) + (1 + 0) + (1 + 1) = 9.  G2 (|W| = 12, N = 6) at 0: 30.
+    """
+    a1 = build_algebra("A", 1)
+    assert cli._verify_work(a1, 1) == 10
+    assert cli._verify_work(a1, 2) == 5 + 5 + 9
+    assert cli._verify_work(build_algebra("G", 2), 0) == 30
+    assert cli._verify_work(a1, 2, limit=7) == 10   # stops once past the limit
+
+
+def test_verify_refuses_work_past_the_budget(capsys, monkeypatch):
+    """Exit 4 before any table, group or grid is made, from the estimate."""
+    def nothing_made(*args, **kwargs):
+        raise AssertionError("refused before anything is made")
+
+    monkeypatch.setattr(tables, "shared_table", nothing_made)
+    monkeypatch.setattr("weylchar.weylgroup.generate", nothing_made)
+    monkeypatch.setattr(cli, "_verify_checks", nothing_made)
+    for name, depth in REFUSED:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--algebra", name, "--depth", str(depth))
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 4 and out == ""
+        assert err == (
+            f"error: verify --depth {depth} on {name} would take on more than "
+            f"{cli.VERIFY_MAX_WORK} units of work, past the verify envelope\n"
+        )
+
+
 def test_exit_code_2_on_bad_input(capsys):
     for argv in [
         ["character", "--algebra", "Q9", "--weight", "1"],
@@ -390,14 +443,7 @@ def test_runaway_characters_exit_4_at_once(capsys):
 
 
 def test_exit_code_3_on_failed_verification(capsys, monkeypatch):
-    real = weylgroup.alternant_direct
-
-    def perturbed(a, weight, group=None):
-        alt = real(a, weight, group=group)
-        zero = (0,) * a.rank
-        return LaurentPoly(a.rank, {**alt.terms, zero: alt.coeff(zero) + 1})
-
-    monkeypatch.setattr(weylgroup, "alternant_direct", perturbed)
+    faults.verify(monkeypatch.setattr)
     code, out, err = run(capsys, "verify", "--algebra", "A2")
     assert code == 3 and err == ""
     failed = [line for line in out.splitlines() if line.startswith("  FAIL ")]
@@ -406,13 +452,7 @@ def test_exit_code_3_on_failed_verification(capsys, monkeypatch):
 
 
 def test_exit_code_3_on_corrupted_denominator(capsys, monkeypatch):
-    real = tables.rho_shifts
-
-    def one_sign_flipped(table):
-        # the row of rho - s_1 rho = a_1
-        return [(row, -s if row == (1, 0) else s) for row, s in real(table)]
-
-    monkeypatch.setattr(tables, "rho_shifts", one_sign_flipped)
+    faults.character(monkeypatch.setattr)
     characters._character_cached.cache_clear()
     with pytest.raises(IntegrityError):
         character(build_algebra("G", 2), (1, 0))
@@ -453,16 +493,9 @@ def test_verify_reports_a_failing_character(capsys, monkeypatch):
 
 
 def test_exit_code_3_on_negative_tensor_multiplicity(capsys, monkeypatch):
-    real = tensor.character
-
-    def top_multiplicity_negated(a, weight, method="gamma"):
-        terms = dict(real(a, weight, method).poly.terms)
-        # only the highest weight's term reaches the top summand, so its net
-        # multiplicity turns from 1 to -1
-        terms[tuple(weight)] = -1
-        return SimpleNamespace(poly=LaurentPoly(a.rank, terms))
-
-    monkeypatch.setattr(tensor, "character", top_multiplicity_negated)
+    # only the highest weight's term reaches the top summand, so its net
+    # multiplicity turns from 1 to -1
+    faults.tensor_top(monkeypatch.setattr)
     with pytest.raises(IntegrityError, match="net multiplicity -1 at"):
         tensor.tensor_decompose(build_algebra("G", 2), (1, 0), (1, 1))
     code, out, err = run(
@@ -522,3 +555,104 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "dimension: 3" in proc.stdout
+
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (TESTS, SRC, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+# the package's __main__ run as `python -m` runs it, after one fault of
+# tests/faults.py is installed; argv[1] names the fault
+FAULTY_MAIN = (
+    "import runpy, sys, faults; "
+    "getattr(faults, sys.argv.pop(1))(setattr); "
+    "runpy.run_module('weylchar', run_name='__main__', alter_sys=True)"
+)
+
+# (argv, fault or None, exit code): every command, and every exit code the
+# commands document
+ENTRY_CASES = [
+    (["character", "--algebra", "G2", "--weight", "1,0"], None, 0),
+    (["character", "--algebra", "B2", "--weight", "1,1", "--format", "json"], None, 0),
+    (["gamma", "--algebra", "A2", "--format", "json"], None, 0),
+    (["tensor", "--algebra", "G2", "--left", "1,0", "--right", "0,1"], None, 0),
+    (["verify", "--algebra", "B3", "--depth", "1", "--format", "json"], None, 0),
+    (["dimension", "--algebra", "B3", "--weight", "1,0,1"], None, 0),
+    (["--help"], None, 0),
+    (["character", "--algebra", "G2", "--weight", "1,x"], None, 2),
+    (["gamma", "--algebra", "Q9"], None, 2),
+    (["tensor", "--algebra", "G2", "--left", "1,0"], None, 2),
+    (["verify", "--algebra", "B2", "--depth", "-1"], None, 2),
+    (["dimension", "--algebra", "D3", "--weight", "1,1,1"], None, 2),
+    (["character", "--algebra", "G2", "--weight", "1,0"], "character", 3),
+    (["tensor", "--algebra", "G2", "--left", "1,0", "--right", "1,1"], "tensor_top", 3),
+    (["verify", "--algebra", "A2", "--format", "json"], "verify", 3),
+    (["character", "--algebra", "G2", "--weight", "100000000000,0"], None, 4),
+    (["gamma", "--algebra", "E7"], None, 4),
+    (["tensor", "--algebra", "A1", "--left", "1000000000", "--right", "1000000000"],
+     None, 4),
+    (["verify", "--algebra", "E6", "--depth", "4"], None, 4),
+    (["dimension", "--algebra", "A25", "--weight", ",".join("0" * 25)], None, 4),
+]
+
+
+@pytest.mark.parametrize("argv,fault,code", ENTRY_CASES,
+                         ids=[f"{c[0][0]}-{c[2]}" for c in ENTRY_CASES])
+def test_module_entry_writes_what_main_writes(capsys, monkeypatch, argv, fault, code):
+    """A fresh `python -m weylchar` process, which ends through cli.run and
+    os._exit, prints the bytes main() prints in-process, on stdout and on
+    stderr, and exits with the code main() returns."""
+    if fault is None:
+        cmd = [sys.executable, "-m", "weylchar", *argv]
+    else:
+        cmd = [sys.executable, "-c", FAULTY_MAIN, fault, *argv]
+    proc = subprocess.run(cmd, capture_output=True, env=child_env(), timeout=60)
+
+    if fault is not None:
+        getattr(faults, fault)(monkeypatch.setattr)
+    characters._character_cached.cache_clear()
+    try:
+        got = main(list(argv))   # returns: a SystemExit would fail the test
+    finally:
+        characters._character_cached.cache_clear()
+    captured = capsys.readouterr()
+    assert type(got) is int and got == code
+    assert proc.returncode == code
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
+
+
+def test_a_reader_that_stops_early_ends_the_request_with_exit_1():
+    """`| head -c 10`: the output (168 kB) outgrows the pipe, the write that
+    meets the closed pipe ends the request with code 1, and no traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylchar", "character", "--algebra", "D5",
+         "--weight", "1,1,0,1,1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    assert proc.stdout.read(10) == b"algebra: D"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+def test_a_closed_stdout_is_not_flushed():
+    """With stdout closed (`>&-`) sys.stdout is None: the answer goes
+    nowhere, and the request still exits 0."""
+    proc = subprocess.run(
+        ["sh", "-c", '"$0" -m weylchar dimension --algebra G2 --weight 1,1 >&-',
+         sys.executable],
+        capture_output=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""

@@ -131,9 +131,34 @@ def test_compatibility_matches_the_weight_row_form(name):
     a = algebra(name)
     cands = tuple(orbit_drops(a, i) for i in range(a.rank))
     want = weight_row_compatibility(a, cands)
-    assert tables._compatibility(a, cands) == {
+    assert {
+        key: [index_set(mask) for mask in masks]
+        for key, masks in tables._compatibility(a, cands).items()
+    } == {
         (i, j): sets for (i, j), sets in want.items() if i < j
     }
+
+
+def index_set(mask):
+    """The indices of the bits set in mask."""
+    return frozenset(y for y in range(mask.bit_length()) if mask >> y & 1)
+
+
+def test_packed_compatibility_near_the_64_bit_limit():
+    """The packed columns read a dot product of -(2^63 - 1) exactly beside
+    a match, and candidates whose dot products could reach 2^63 in absolute
+    value are refused.  On A2, the candidate 0 of slot 1 has the form row
+    (-1, 0) and the target 0, so its dot product with g is -g_1."""
+    a = algebra("A2")
+    first = (WeightVec.root((0, 0)),)
+
+    def second(top):
+        return tuple(map(WeightVec.root, [(top, 0), (0, 5), (3, 0)]))
+
+    compat = tables._compatibility(a, (first, second(2**63 - 1)))
+    assert compat == {(0, 1): [0b010]}
+    with pytest.raises(EnvelopeError, match="64-bit"):
+        tables._compatibility(a, (first, second(2**63)))
 
 
 def test_entry_count_statement():
