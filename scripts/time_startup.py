@@ -28,10 +28,18 @@ temporary directory, so that no stale bytecode of the source tree is read.
 To compare two checkouts, run the script against each source tree:
 
     PYTHONPATH=<checkout>/src python3 scripts/time_startup.py
+
+With --json PATH the medians are also appended, as one run, to the JSON
+record at PATH (a BENCH_<date>.json file), which is created if missing:
+the commands, the repeat count, the measured tree's commit, the Python
+version, the processor count and the PYTHONDONTWRITEBYTECODE setting.
 """
 
 import argparse
+import datetime
+import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -58,10 +66,37 @@ def run_once(args, env):
     return time.perf_counter() - t0
 
 
+def append_record(path, package_dir, run):
+    """Append one run, with where and how it was measured, to the JSON
+    record at path: {"runs": [...]}, created if missing."""
+    commit = subprocess.run(
+        ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+        cwd=package_dir, capture_output=True, text=True,
+    ).stdout.strip()
+    run = {
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "commit": commit or None,
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        **run,
+    }
+    record = {"runs": []}
+    if os.path.exists(path):
+        with open(path) as fh:
+            record = json.load(fh)
+    record["runs"].append(run)
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=20,
                         help="fresh processes per command and setting (default 20)")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also append the medians to this JSON record")
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
@@ -94,11 +129,23 @@ def main():
                 for setting, child_env in settings.items():
                     times[name, setting].append(run_once(argv, child_env))
 
+    medians = {
+        name: {s: statistics.median(times[name, s]) * 1e3 for s in settings}
+        for name, _ in COMMANDS
+    }
     print(f"median of {args.repeat} fresh processes, ms")
     print(f"{'command':>12} {'no bytecode':>12} {'bytecode':>9} {'compile':>8}")
     for name, _ in COMMANDS:
-        off, on = (statistics.median(times[name, s]) * 1e3 for s in settings)
+        off, on = medians[name].values()
         print(f"{name:>12} {off:>12.1f} {on:>9.1f} {off - on:>8.1f}")
+    if args.json:
+        append_record(args.json, os.path.dirname(source), {
+            "script": "time_startup.py",
+            "statistic": "median wall time of fresh processes, ms",
+            "repeat": args.repeat,
+            "workloads": {name: ["python", *argv] for name, argv in COMMANDS},
+            "results": medians,
+        })
 
 
 if __name__ == "__main__":

@@ -29,14 +29,21 @@ and, from one more build outside the timings,
 To compare two checkouts, run the script against each source tree:
 
     PYTHONPATH=<checkout>/src python3 scripts/time_tables.py
+
+With --json PATH the rows are also appended, as one run, to the JSON record
+at PATH (a BENCH_<date>.json file), which is created if missing; see
+scripts/time_startup.py for what a run holds.
 """
 
 import argparse
 import gc
 import itertools
+import os
 import time
 import tracemalloc
 
+import weylchar
+from time_startup import append_record
 from weylchar import characters, tables
 from weylchar.algebra import WeightVec, parse_algebra
 from weylchar.tables import alternant, build_table, orbit_drops
@@ -95,6 +102,8 @@ def main():
                         help="alternants per route and run (default 10)")
     parser.add_argument("--algebras", nargs="*", default=DEFAULT,
                         metavar="NAME")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also append the rows to this JSON record")
     args = parser.parse_args()
 
     print(
@@ -102,6 +111,7 @@ def main():
         f"{'generate':>9} {'alt table':>10} {'alt W':>9} {'freud ρ':>9} "
         f"{'char ρ':>9} {'char l1':>9} {'held':>9}"
     )
+    rows = {}
     for name in args.algebras:
         a = parse_algebra(name)
         table = build_table(a)
@@ -133,6 +143,20 @@ def main():
             f"{gen:>7.1f}ms {alt_table:>8.3f}ms {alt_w:>7.3f}ms {freud:>7.1f}ms "
             f"{char:>7.1f}ms {char_l1:>7.1f}ms {held:>7.3f}MB"
         )
+        rows[a.name] = {
+            "|W|": table.size, "drops": drops, "build": build, "generate": gen,
+            "alt table": alt_table, "alt W": alt_w, "freud rho": freud,
+            "char rho": char, "char l1": char_l1, "held MB": held,
+        }
+    if args.json:
+        append_record(args.json, os.path.dirname(weylchar.__file__), {
+            "script": "time_tables.py",
+            "statistic": "best wall time of --repeat runs, ms",
+            "repeat": args.repeat,
+            "weights": args.weights,
+            "workloads": args.algebras,
+            "results": rows,
+        })
 
 
 if __name__ == "__main__":

@@ -2,9 +2,15 @@
 
 Commands: character, gamma, tensor, verify, dimension.  Exit codes: 0 on
 success, 2 for bad input, 3 for integrity failures (including failed
-verification), 4 when the request exceeds the supported size envelope.
-Tables are built in memory, once per process; nothing is read from or
-written to disk.
+verification), 4 when the request exceeds the supported size envelope
+(for verify, its grid or its work budget), and 1 when the reader of stdout
+closes it before the answer is written, as `| head` does.  Tables are built
+in memory, once per process; nothing is read from or written to disk.
+
+main(argv) runs one command line and returns its exit code.  run(), the
+entry of `weylchar` and `python -m weylchar`, calls it, flushes stdout and
+stderr and ends the process with os._exit, so the interpreter does not tear
+its modules down after the answer is out.
 
 JSON output is canonical: keys sorted, monomial lists ascending by total
 degree then lexicographically, so identical invocations are byte-identical.
@@ -406,7 +412,7 @@ _OPTIONS = {
     "--left": ("WEIGHT", "left highest weight, e.g. 1,0"),
     "--right": ("WEIGHT", "right highest weight, e.g. 1,1"),
     "--depth": ("N", "check all dominant weights with coordinates up to N, "
-                f"at most {VERIFY_MAX_WEIGHTS} of them"),
+                f"at most {VERIFY_MAX_WEIGHTS} of them, within a work budget"),
     "--method": (("gamma", "weyl"), "alternant construction route"),
     "--format": (("text", "json"), "output format"),
     "--cache-dir": (

@@ -1,6 +1,7 @@
 """Smoke runs of the timing scripts: each one, in a fresh process, on its
 smallest arguments, so a script that calls a removed API fails here."""
 
+import json
 import os
 import subprocess
 import sys
@@ -25,9 +26,15 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("script", list(RUNS))
-def test_script_runs(script):
-    args, header = RUNS[script]
+# scripts that append a run to a JSON record with --json PATH
+RECORDS = {"time_tables.py", "time_startup.py"}
+RECORD_KEYS = {
+    "script", "date", "commit", "python", "nproc", "PYTHONDONTWRITEBYTECODE",
+    "statistic", "repeat", "workloads", "results",
+}
+
+
+def run_script(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p
@@ -37,7 +44,27 @@ def test_script_runs(script):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert header in proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", list(RUNS))
+def test_script_runs(script):
+    args, header = RUNS[script]
+    assert header in run_script(script, args)
+
+
+@pytest.mark.parametrize("script", sorted(RECORDS))
+def test_script_appends_a_run_to_its_json_record(script, tmp_path):
+    path = tmp_path / "BENCH.json"
+    args, _ = RUNS[script]
+    for _ in range(2):
+        run_script(script, args + ["--json", str(path)])
+    runs = json.loads(path.read_text())["runs"]
+    assert len(runs) == 2
+    for run in runs:
+        assert set(run) >= RECORD_KEYS
+        assert run["script"] == script and run["repeat"] == 1
+        assert run["results"]
 
 
 def test_every_script_is_smoke_tested():
