@@ -250,13 +250,15 @@ def _cmd_dimension(args):
 
 # the most weights verify's grid may hold: --depth N checks (N + 1)^rank
 VERIFY_MAX_WEIGHTS = 4096
-# the most work verify may take on, in the units of _verify_work; a unit
-# took 1.1 to 4.3 microseconds of a whole request on a 2-core machine
+# the most work verify may take on, in the units of _verify_work; past the
+# fixed cost of the group and the table, a unit took 1.1 to 4.3
+# microseconds of a whole request on a 2-core machine
 VERIFY_MAX_WORK = 5_000_000
 
 
-def _verify_work(a, depth, limit=VERIFY_MAX_WORK):
-    """The work verify --depth sets itself on a, counted up to past limit.
+def _verify_work(a, depth):
+    """The work verify --depth sets itself on a, counted until it passes
+    VERIFY_MAX_WORK.
 
     A grid weight lam costs |W| for its two alternants, and then, for each
     dominant mu below lam, |W| (a bound on the orbit mu's multiplicity
@@ -264,7 +266,7 @@ def _verify_work(a, depth, limit=VERIFY_MAX_WORK):
     Freudenthal walks up each root string from mu and none is longer than
     ht(lam - mu).  The dominant mu are the descent the character and
     Freudenthal both make; the grid is walked lazily, and the count stops
-    as soon as it passes limit.
+    as soon as it passes the budget.
     """
     from itertools import product
 
@@ -277,7 +279,7 @@ def _verify_work(a, depth, limit=VERIFY_MAX_WORK):
         below = _dominant_weights_below(a, coords)
         work += order * (1 + len(below))
         work += npos * sum(1 + sum(dp) for _, dp in below)
-        if work > limit:
+        if work > VERIFY_MAX_WORK:
             break
     return work
 

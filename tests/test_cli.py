@@ -247,7 +247,7 @@ def test_verify_work_budget():
         assert cli._verify_work(a, depth) > cli.VERIFY_MAX_WORK, name
 
 
-def test_verify_work_counts_by_hand():
+def test_verify_work_counts_by_hand(monkeypatch):
     """|W| + sum over the dominant mu below lam of |W| + N (1 + ht(lam - mu)).
 
     A1 (|W| = 2, N = 1): the weights 0 and 1 have only themselves below,
@@ -258,7 +258,8 @@ def test_verify_work_counts_by_hand():
     assert cli._verify_work(a1, 1) == 10
     assert cli._verify_work(a1, 2) == 5 + 5 + 9
     assert cli._verify_work(build_algebra("G", 2), 0) == 30
-    assert cli._verify_work(a1, 2, limit=7) == 10   # stops once past the limit
+    monkeypatch.setattr(cli, "VERIFY_MAX_WORK", 7)
+    assert cli._verify_work(a1, 2) == 10   # stops once past the budget
 
 
 def test_verify_refuses_work_past_the_budget(capsys, monkeypatch):
