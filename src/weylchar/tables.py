@@ -275,13 +275,13 @@ def build_table(a):
 
     The search takes the slots in their natural order and each slot's
     candidates in increasing index, pruning the later slots' domains with
-    the compatibility sets, so it meets the selectors sorted.  Domains and
+    the compatibility sets, so it meets the selectors sorted: domains and
     sets are bitmasks of candidate indices, and a domain's set bits are
-    visited from low to high.  It writes
-    the trie as it goes: at each selector found, the nodes of its path not
-    yet in the trie.  Node n of level k extends node parents[n] of level
-    k - 1 by the zero-based candidate candidates[n] of slot k; the last
-    level has one node per selector.
+    visited from low to high.  It writes the trie as it goes: at each
+    selector found, the nodes of its path not yet in the trie.  Node n of
+    level k extends node parents[n] of level k - 1 by the zero-based
+    candidate candidates[n] of slot k; the last level has one node per
+    selector.
 
     Deterministic output.  Raises EnvelopeError for groups past the supported
     size, and IntegrityError if the number of selectors found differs from
@@ -292,40 +292,29 @@ def build_table(a):
     cands = tuple(orbit_drops(a, i) for i in range(r))
     _require_coroot_rows(a, cands)
     compat = _compatibility(a, cands)
-    later = [[compat[(k, s)] for s in range(k + 1, r)] for k in range(r)]
     levels = tuple(([], []) for _ in range(r))
-    last = r - 1
     choice = [0] * r
     made = 0   # levels of the current path already in the trie
 
     def descend(k, domains):
         nonlocal made
-        dom = domains[0]
-        if k == last:   # every bit left is a leaf under the current path
-            for j in range(made, last):
+        if k == r:
+            for j in range(made, r):
                 parents, nodes = levels[j]
                 parents.append(len(levels[j - 1][0]) - 1 if j else 0)
                 nodes.append(choice[j])
-            made = last
-            parents, nodes = levels[last]
-            parent = len(levels[last - 1][0]) - 1 if last else 0
-            while dom:
-                low = dom & -dom
-                dom ^= low
-                parents.append(parent)
-                nodes.append(low.bit_length() - 1)
+            made = r
             return
-        rows = later[k]
+        dom = domains[0]
         while dom:   # the set bits, low to high
             low = dom & -dom
             dom ^= low
             idx = low.bit_length() - 1
             choice[k] = idx
-            if made > k:
-                made = k
+            made = min(made, k)
             narrowed = []
-            for d, row in zip(domains[1:], rows):
-                nd = d & row[idx]
+            for s, d in enumerate(domains[1:], k + 1):
+                nd = d & compat[(k, s)][idx]
                 if not nd:
                     break
                 narrowed.append(nd)
