@@ -522,24 +522,21 @@ def _parse_args(argv):
     )
 
 
-def run(argv=None):
+def run():
     """The process entry of `weylchar` and `python -m weylchar`.
 
-    Runs main, flushes stdout and stderr, and ends the process with
-    os._exit(code), so that no module teardown runs after the answer.  A
-    reader that closes the pipe early (`| head`) ends the request with exit
-    code 1 and no traceback; what is still buffered is dropped.  A closed
-    stream (sys.stdout or sys.stderr is None) is not flushed.
+    Runs main on sys.argv, flushes stdout and stderr, and ends the process
+    with os._exit(code), so that no module teardown runs after the answer,
+    and no atexit hook either: to profile or trace a request, call main.
+    A reader that closes the pipe early (`| head`) ends the request with
+    exit code 1 and no traceback; what is still buffered is dropped.  A
+    closed stream (sys.stdout or sys.stderr is None) is not flushed.
     """
     try:
-        code = main(argv)
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except BrokenPipeError:
-        code = 1
-    try:
-        if sys.stderr is not None:
-            sys.stderr.flush()
+        code = main()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
     except BrokenPipeError:
         code = 1
     os._exit(code)
