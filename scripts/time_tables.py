@@ -42,7 +42,6 @@ import os
 import time
 import tracemalloc
 
-import weylchar
 from time_startup import append_record
 from weylchar import characters, tables
 from weylchar.algebra import WeightVec, parse_algebra
@@ -149,7 +148,7 @@ def main():
             "char rho": char, "char l1": char_l1, "held MB": held,
         }
     if args.json:
-        append_record(args.json, os.path.dirname(weylchar.__file__), {
+        append_record(args.json, os.path.dirname(tables.__file__), {
             "script": "time_tables.py",
             "statistic": "best wall time of --repeat runs, ms",
             "repeat": args.repeat,

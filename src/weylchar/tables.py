@@ -163,25 +163,17 @@ def _compatibility(a, cands):
                     "signed 64-bit digits of the packed columns"
                 )
             compat[(i, j)] = [
-                _positions(
-                    memoryview(
-                        (offset + sum(map(mul, f, packed))).to_bytes(8 * width, "little")
-                    ).cast("Q").tolist(),
-                    t + _HALF,
-                )
+                _positions(offset + sum(map(mul, f, packed)), width, t + _HALF)
                 for f, t in zip(forms[i], targets)
             ]
     return compat
 
 
-def _positions(values, t):
-    """The bitmask of the positions at which the list values holds t."""
-    mask = 0
-    y = -1
-    for _ in range(values.count(t)):
-        y = values.index(t, y + 1)
-        mask |= 1 << y
-    return mask
+def _positions(packed, width, t):
+    """The bitmask of the positions y at which digit y of packed, one of
+    width 64-bit digits, equals t."""
+    digits = memoryview(packed.to_bytes(8 * width, "little")).cast("Q")
+    return sum(1 << y for y, v in enumerate(digits) if v == t)
 
 
 def selectors(levels):
