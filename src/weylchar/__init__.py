@@ -52,7 +52,6 @@ _EXPORTS = {
         "alternant",
         "build_table",
         "check_signatures_by_expansion",
-        "entry_exponents",
         "exponent_forms",
         "orbit_drops",
     ),

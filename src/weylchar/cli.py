@@ -3,9 +3,10 @@
 Commands: character, gamma, tensor, verify, dimension.  Exit codes: 0 on
 success, 2 for bad input, 3 for integrity failures (including failed
 verification), 4 when the request exceeds the supported size envelope
-(for verify, its grid or its work budget), and 1 when the reader of stdout
-closes it before the answer is written, as `| head` does.  Tables are built
-in memory, once per process; nothing is read from or written to disk.
+(for verify, its grid or its work budget), and 1 when stdout cannot take
+the answer, as when `| head` closes it early or its device is full.  Tables
+are built in memory, once per process; nothing is read from or written to
+disk.
 
 main(argv) runs one command line and returns its exit code.  run(), the
 entry of `weylchar` and `python -m weylchar`, calls it, flushes stdout and
@@ -34,7 +35,10 @@ import sys
 from types import SimpleNamespace
 
 from .algebra import WeightVec, parse_algebra, read_int, weyl_dimension
-from .errors import EnvelopeError, InputError, IntegrityError
+from .errors import EnvelopeError, InputError, IntegrityError, WeylcharError
+
+# the exit code of a request that ends with each error class
+_EXIT_CODES = {InputError: 2, IntegrityError: 3, EnvelopeError: 4}
 
 
 def _parse_weight(a, text, what="--weight"):
@@ -528,17 +532,22 @@ def run():
     Runs main on sys.argv, flushes stdout and stderr, and ends the process
     with os._exit(code), so that no module teardown runs after the answer,
     and no atexit hook either: to profile or trace a request, call main.
-    A reader that closes the pipe early (`| head`) ends the request with
-    exit code 1 and no traceback; what is still buffered is dropped.  A
-    closed stream (sys.stdout or sys.stderr is None) is not flushed.
+    A stdout that cannot take the answer (`| head` closed it, or its device
+    is full) ends the request with exit code 1 and no traceback; what is
+    still buffered is dropped.  An unwritable stderr keeps the request's
+    code.  A closed stream (sys.stdout or sys.stderr is None) is not flushed.
     """
     try:
         code = main()
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-    except BrokenPipeError:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:   # BrokenPipeError among them
         code = 1
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
     os._exit(code)
 
 
@@ -552,15 +561,13 @@ def main(argv=None):
             print(parsed)  # the help text
             return 0
         return handler(parsed)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EnvelopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except IntegrityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except WeylcharError as exc:
+        code = next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:
+            pass   # an unwritable stderr loses the line, not the code
+        return code
 
 
 if __name__ == "__main__":

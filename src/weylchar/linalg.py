@@ -2,6 +2,8 @@
 
 Row convention throughout: vectors are rows, and a matrix M acts on a row
 vector v as v @ M.  Row i of M is the image of the i-th basis vector.
+There is no matrix product: no table entry's map U^-1 is formed, and
+weylgroup.generate applies each reflection row by row.
 """
 
 from operator import mul
@@ -14,14 +16,6 @@ def identity(n):
 def vec_mat(v, m):
     """Row vector times matrix."""
     return tuple([sum(map(mul, v, col)) for col in zip(*m)])
-
-
-def mat_mul(a, b):
-    cols = range(len(b[0]))
-    return tuple(
-        tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in cols)
-        for row in a
-    )
 
 
 def det_int(m):

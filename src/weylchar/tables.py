@@ -18,7 +18,8 @@ that Racah's recursion reads, without enumerating the group:
   the Weyl group element w it stands for.  Its monomial for a dominant
   weight L is e^(U^-1(rho + L)); with g_i in coroot coordinates, scaled by
   1/d_i, as the rows h_i of H, U^-1 = I - H^T C for the Cartan matrix C.
-  The rows h_i are derived from the candidates when needed, never kept.
+  No U^-1 is formed: the rows h_i, or their scalars h_i . v, are derived
+  from the candidates when needed and never kept.
 * The table keeps each selector once, as a leaf of the trie of sorted
   selectors that the search writes as it finds them (selectors reads them
   back), and one sign det U = (-1)^l(w) per leaf, read off the pairings of
@@ -43,7 +44,6 @@ from .algebra import (
     _require_dominant_integral,
     _root_row,
     check_envelope,
-    root_coords,
 )
 from .errors import EnvelopeError, InputError, IntegrityError
 from .frozen import Frozen
@@ -95,20 +95,25 @@ class AlternantTable(Frozen):
 
 
 def _require_coroot_rows(a, cands):
-    """Check that every candidate g of slot i has an integral coroot row h.
+    """The coroot row h of every candidate g, per slot; each must be integral.
 
     With g = sum_k g_k a_k and d_k = (a_k, a_k) / 2, h_k = g_k d_k / d_i:
     the coordinates of (l_i - w l_i) / d_i in the simple coroots a_k / d_k.
     They are integers, because l_i / d_i is a fundamental coweight and w
     moves it by an element of the coroot lattice; so is every h . v, which
-    _slot_scalars divides exactly.
+    _slot_scalars divides exactly.  A row that is not raises IntegrityError.
     """
-    for i, slot in enumerate(cands):
+    rows = []
+    for i, (di, slot) in enumerate(zip(a.d, cands)):
+        rows.append([])
         for g in slot:
-            if any(x * dk % a.d[i] for x, dk in zip(g.coords, a.d)):
+            scaled = list(map(mul, g.coords, a.d))
+            if any(x % di for x in scaled):
                 raise IntegrityError(
                     f"drop {g.coords} of slot {i + 1} has no integral coroot row"
                 )
+            rows[i].append([x // di for x in scaled])
+    return rows
 
 
 def _slot_scalars(a, cands, vec):
@@ -345,11 +350,12 @@ def alternant(table, weight):
 
     Exactly one monomial per entry; for strictly dominant rho + weight the
     exponent rows are pairwise distinct, which is asserted.  With v = rho +
-    weight, the row of an entry is v @ (I - H^T C) = v - sum_i (h_i . v) C[i]
-    (_monomial_map), so each candidate's shift (h . v) C[i] is computed once
-    per call and the entries subtract theirs down the selector trie.  A weight
-    so large that an exponent coordinate could pass 2^63 - 1 in absolute
-    value is refused with EnvelopeError.
+    weight, the row of an entry is v @ (I - H^T C) = v - sum_i (h_i . v) C[i],
+    for h_i the coroot row of the entry's candidate in slot i (H's row i), so
+    each candidate's shift (h . v) C[i] is computed once per call and the
+    entries subtract theirs down the selector trie.  A weight so large that
+    an exponent coordinate could pass 2^63 - 1 in absolute value is refused
+    with EnvelopeError.
     """
     a = table.algebra
     m = _require_dominant_integral(a, weight)
@@ -375,38 +381,6 @@ def rho_shifts(table):
     return list(zip(rows, table.signatures))
 
 
-def _monomial_map(table, selector):
-    """The integer weight-basis matrix U^-1 of one entry, from its selector.
-
-    Row j of U^-1 is l_j - sum_i ((l_j, g_i) / d_i) a_i, that is
-    U^-1 = I - H^T C, and H^T C is the sum over slots of the outer products
-    h_i C[i], with h_i = g_i o d / d_i the coroot row of the candidate g_i
-    (_require_coroot_rows).  The entry's exponent row for L is
-    (rho + L) @ U^-1.
-    """
-    a = table.algebra
-    m = [list(row) for row in linalg.identity(a.rank)]
-    for slot, x, di, crow in zip(table.candidates, selector, a.d, a.cartan):
-        for row, gk, dk in zip(m, slot[x - 1].coords, a.d):
-            y = gk * dk // di
-            for k, c in enumerate(crow):
-                row[k] -= y * c
-    return m
-
-
-def entry_exponents(table, selector, weight):
-    """Root-basis exponent row of one selector's monomial, exact rationals.
-
-    Equals 2 (l_i - g_i, rho + weight) / (a_i, a_i) coordinate by
-    coordinate.
-    """
-    a = table.algebra
-    m = _require_dominant_integral(a, weight)
-    vec = tuple(x + 1 for x in m)
-    e = linalg.vec_mat(vec, _monomial_map(table, selector))
-    return WeightVec.root(root_coords(a, WeightVec.weight(e)))
-
-
 class AffineExponents(Frozen):
     """Symbolic exponent rows of one entry, affine in the weight coords s.
 
@@ -417,48 +391,42 @@ class AffineExponents(Frozen):
     __slots__ = ("signature", "constant", "linear")
 
     def evaluate(self, s):
-        r = len(self.constant)
         if len(s) != len(self.linear):
             raise InputError("wrong number of weight coordinates")
-        coords = list(self.constant)
-        for j, sj in enumerate(s):
-            row = self.linear[j]
-            for i in range(r):
-                coords[i] += sj * row[i]
-        return WeightVec.root(coords)
+        return WeightVec.root([
+            c + sum(map(mul, s, col))
+            for c, col in zip(self.constant, zip(*self.linear))
+        ])
 
     def as_rows(self):
         """Per-coordinate view: (constant_i, coefficients over s)."""
-        r = len(self.constant)
-        return tuple(
-            (self.constant[i], tuple(row[i] for row in self.linear))
-            for i in range(r)
-        )
+        return tuple(zip(self.constant, zip(*self.linear)))
 
 
 def exponent_forms(table):
     """Symbolic alternant: one signed affine exponent row per entry.
 
     Substituting concrete coordinates reproduces alternant() exactly after
-    the root-to-weight basis change.
+    the root-to-weight basis change.  Coordinate k of the root-basis row of
+    entry U at weight s is ((rho + s) C^-1)_k - h_k . (rho + s), for h_k the
+    coroot row of U's candidate in slot k (_require_coroot_rows): column k
+    of the coefficients of s is column k of C^-1 minus h_k, and with rho =
+    (1, ..., 1) the constant is that column's sum.  No U^-1 is formed.
     """
     from fractions import Fraction
 
     a = table.algebra
+    coroots = _require_coroot_rows(a, table.candidates)
+    columns = [[Fraction(x, a.cartan_det) for x in col] for col in a.adjugate_columns]
     out = []
     for selector, sign in zip(selectors(table.levels), table.signatures):
-        mc = [
-            [Fraction(x, a.cartan_det) for x in row]
-            for row in linalg.mat_mul(_monomial_map(table, selector), a.cartan_adjugate)
+        cols = [
+            tuple(map(sub, col, slot[x - 1]))
+            for col, slot, x in zip(columns, coroots, selector)
         ]
-        constant = linalg.vec_mat((1,) * a.rank, mc)
-        out.append(
-            AffineExponents(
-                signature=sign,
-                constant=tuple(constant),
-                linear=tuple(tuple(row) for row in mc),
-            )
-        )
+        out.append(AffineExponents(
+            signature=sign, constant=tuple(map(sum, cols)), linear=tuple(zip(*cols))
+        ))
     return tuple(out)
 
 

@@ -45,6 +45,33 @@ def inverse_frac(m):
     return tuple(tuple(row) for row in inv)
 
 
+def mat_mul(a, b):
+    """Matrix product a @ b, as a tuple of row tuples."""
+    cols = range(len(b[0]))
+    return tuple(
+        tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in cols)
+        for row in a
+    )
+
+
+def monomial_map(table, selector):
+    """The integer weight-basis matrix U^-1 of one entry, from its selector.
+
+    Row j of U^-1 is l_j - sum_i ((l_j, g_i) / d_i) a_i, that is
+    U^-1 = I - H^T C, and H^T C is the sum over slots of the outer products
+    h_i C[i], with h_i = g_i o d / d_i the coroot row of the candidate g_i.
+    The entry's exponent row for L is (rho + L) @ U^-1.
+    """
+    a = table.algebra
+    m = [list(row) for row in linalg.identity(a.rank)]
+    for slot, x, di, crow in zip(table.candidates, selector, a.d, a.cartan):
+        for row, gk, dk in zip(m, slot[x - 1].coords, a.d):
+            y = gk * dk // di
+            for k, c in enumerate(crow):
+                row[k] -= y * c
+    return m
+
+
 def peel_decompose(a, left, right, method="gamma"):
     """Tensor product summands by peeling the product of two characters.
 

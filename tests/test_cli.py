@@ -657,3 +657,46 @@ def test_a_closed_stdout_is_not_flushed():
     )
     assert proc.returncode == 0
     assert proc.stderr == b""
+
+
+class _UnwritableStream:
+    """A stream whose every write fails, as one on a full device does."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["dimension", "--algebra", "G2", "--weight", "x"], 2),
+    (["character", "--algebra", "G2", "--weight", "1,0"], 3),
+    (["gamma", "--algebra", "E7"], 4),
+], ids=["input-2", "integrity-3", "envelope-4"])
+def test_an_unwritable_stderr_keeps_the_exit_code(monkeypatch, argv, code):
+    """The `error:` line cannot be written; main() still returns the code of
+    the error, and raises nothing."""
+    if code == 3:
+        faults.character(monkeypatch.setattr)
+    monkeypatch.setattr(sys, "stderr", _UnwritableStream())
+    characters._character_cached.cache_clear()
+    try:
+        assert main(argv) == code
+    finally:
+        characters._character_cached.cache_clear()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("redirect,code", [
+    ("--weight x 2>/dev/full", 2),   # only the error line is lost
+    ("--weight 1,1 >/dev/full", 1),  # the answer is lost
+], ids=["stderr-2", "stdout-1"])
+def test_a_full_device_ends_the_request_without_a_traceback(redirect, code):
+    proc = subprocess.run(
+        ["sh", "-c", f'"$0" -m weylchar dimension --algebra G2 {redirect}',
+         sys.executable],
+        capture_output=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == code
+    assert b"Traceback" not in proc.stderr

@@ -9,6 +9,8 @@ import golden_g2
 from oracles import (
     ORACLE_ALGEBRAS,
     inverse_frac,
+    mat_mul,
+    monomial_map,
     walked_orbit_drops,
     weight_row_compatibility,
 )
@@ -23,13 +25,11 @@ from weylchar.algebra import (
     weyl_order,
 )
 from weylchar.errors import EnvelopeError, InputError, IntegrityError
-from weylchar.linalg import det_int, identity, mat_mul, vec_mat
+from weylchar.linalg import det_int, identity, vec_mat
 from weylchar.tables import (
-    _monomial_map,
     alternant,
     build_table,
     check_signatures_by_expansion,
-    entry_exponents,
     exponent_forms,
     orbit_drops,
     selectors,
@@ -252,7 +252,7 @@ def test_monomial_map_inverts_the_entry_map():
         t = build_table(a)
         ident = identity(a.rank)
         for selector, _sign, rows in _entry_rows(a, t):
-            inverse = tuple(map(tuple, _monomial_map(t, selector)))
+            inverse = tuple(map(tuple, monomial_map(t, selector)))
             assert mat_mul(rows, inverse) == ident
             if name in ("G2", "B3"):
                 assert inverse == inverse_frac(rows)
@@ -293,7 +293,7 @@ def test_alternant_applies_every_monomial_map(name):
     for coords in [(0,) * a.rank, tuple(range(a.rank)), (3,) + (0,) * (a.rank - 1)]:
         vec = tuple(x + 1 for x in coords)
         want = {
-            vec_mat(vec, _monomial_map(t, selector)): sign
+            vec_mat(vec, monomial_map(t, selector)): sign
             for selector, sign in entries(t).items()
         }
         got = alternant(t, WeightVec.weight(coords))
@@ -342,11 +342,12 @@ def test_alternant_rejects_bad_weights(g2_table):
 
 
 def test_entry_exponents_match_defining_ratio(g2, g2_table):
-    lam = WeightVec.weight((2, 1))
+    lam = (2, 1)
     shifted = WeightVec.weight((3, 2))  # rho + lam
     fw = g2.fundamental_weights
-    for selector in selectors(g2_table.levels):
-        got = entry_exponents(g2_table, selector, lam)
+    forms = exponent_forms(g2_table)
+    for n, selector in enumerate(selectors(g2_table.levels)):
+        got = forms[n].evaluate(lam)
         for i in range(g2.rank):
             drop = g2_table.candidates[i][selector[i] - 1]
             moved = WeightVec.weight(
@@ -366,13 +367,18 @@ def test_g2_affine_forms_golden(g2_table):
     assert got == golden_g2.AFFINE_FORMS
 
 
-def test_affine_forms_evaluate_to_alternant(g2, g2_table):
-    forms = exponent_forms(g2_table)
-    for coords in [(0, 0), (1, 0), (2, 3)]:
-        ref = alternant(g2_table, WeightVec.weight(coords))
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_affine_forms_evaluate_to_alternant(name):
+    """Every form evaluates to its own term of alternant(), sign included."""
+    a = algebra(name)
+    t = shared_table(a)
+    forms = exponent_forms(t)
+    for coords in [(0,) * a.rank, (1,) + (0,) * (a.rank - 1), tuple(range(2, a.rank + 2))]:
+        ref = alternant(t, WeightVec.weight(coords))
+        rows = {tuple(weight_coords(a, f.evaluate(coords))) for f in forms}
+        assert len(rows) == len(ref.terms)
         for f in forms:
-            row = f.evaluate(coords)
-            e = tuple(weight_coords(g2, row))
+            e = tuple(weight_coords(a, f.evaluate(coords)))
             assert ref.coeff(e) == f.signature
 
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from oracles import dominant_weights_in_box
+from oracles import dominant_weights_in_box, mat_mul
 from weylchar import algebra as algebra_module
 from weylchar.algebra import (
     ENVELOPE_MAX_ORDER,
@@ -18,7 +18,7 @@ from weylchar.algebra import (
     weight_coords,
 )
 from weylchar.errors import EnvelopeError, InputError
-from weylchar.linalg import identity, mat_mul
+from weylchar.linalg import identity
 from weylchar.weylgroup import (
     _dominant_weights_below,
     alternant_direct,
