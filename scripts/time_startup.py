@@ -1,7 +1,7 @@
-"""Time interpreter start-up, `import weylchar` and three small CLI requests,
+"""Time interpreter start-up, `import weylchar` and four small CLI requests,
 with and without cached bytecode.
 
-Each of the five commands runs in a fresh process --repeat times in each of
+Each of the six commands runs in a fresh process --repeat times in each of
 two settings, in round-robin order so that a slow spell of the host falls on
 all of them alike, and the median wall times are printed in milliseconds:
 
@@ -9,6 +9,9 @@ all of them alike, and the median wall times are printed in milliseconds:
     python -c "import weylchar"         interpreter plus package import, which
                                         loads none of the package's modules
     python -m weylchar dimension ...    a request that does no table work
+    python -m weylchar dimension ...    the same at A24, the largest rank kept;
+                                        its time over the G2 request is mostly
+                                        building A24's root data
     python -m weylchar character ...    a request that builds the G2 table and
                                         runs Racah's recursion on its A_rho
     python -m weylchar tensor ...       G2 (1,1) x (0,2) in JSON, the median
@@ -52,6 +55,8 @@ COMMANDS = (
     ("import", ["-c", "import weylchar"]),
     ("dimension", ["-m", "weylchar", "dimension", "--algebra", "G2",
                    "--weight", "1,1"]),
+    ("dimension A24", ["-m", "weylchar", "dimension", "--algebra", "A24",
+                       "--weight", ",".join(["1"] + ["0"] * 23)]),
     ("character", ["-m", "weylchar", "character", "--algebra", "G2",
                    "--weight", "1,1"]),
     ("tensor json", ["-m", "weylchar", "tensor", "--algebra", "G2",
@@ -134,10 +139,10 @@ def main():
         for name, _ in COMMANDS
     }
     print(f"median of {args.repeat} fresh processes, ms")
-    print(f"{'command':>12} {'no bytecode':>12} {'bytecode':>9} {'compile':>8}")
+    print(f"{'command':>13} {'no bytecode':>12} {'bytecode':>9} {'compile':>8}")
     for name, _ in COMMANDS:
         off, on = medians[name].values()
-        print(f"{name:>12} {off:>12.1f} {on:>9.1f} {off - on:>8.1f}")
+        print(f"{name:>13} {off:>12.1f} {on:>9.1f} {off - on:>8.1f}")
     if args.json:
         append_record(args.json, os.path.dirname(source), {
             "script": "time_startup.py",

@@ -137,8 +137,10 @@ class Algebra(Frozen):
 
 
 _RANK_BOUNDS = {"A": 1, "B": 2, "C": 2, "D": 4}
-# The cofactor adjugate makes a build O(r^5): 0.27 s at rank 24 and 1.1 s
-# at rank 32 on a 2-core host, so the classical families stop at rank 24.
+# The classical families stop at rank 24.  One O(r^3) elimination gives the
+# Cartan determinant and adjugate, so root data take 22 ms at A24 and 54 ms
+# at A32 on a 2-core host (260 ms and 1.06 s by r^2 cofactor determinants);
+# the cap stays until the recursions that run past it have a work budget.
 MAX_RANK = 24
 # the most digits read as one integer: int()'s default limit from Python 3.11
 MAX_DIGITS = 4300
@@ -293,8 +295,7 @@ def _build_algebra(family, rank):
             if cartan[i][j] * d[j] != cartan[j][i] * d[i]:
                 raise IntegrityError("Cartan matrix is not symmetrizable by d")
 
-    cartan_det = linalg.det_int(cartan)
-    cartan_adjugate = _adjugate(cartan)
+    cartan_det, cartan_adjugate = linalg.det_adjugate(cartan)
     gram_root = tuple(
         tuple(cartan[i][j] * d[j] for j in range(r)) for i in range(r)
     )
@@ -332,22 +333,6 @@ def _build_algebra(family, rank):
 
 # under the public name for the callers that empty it, as perfbench does
 build_algebra.cache_clear = _build_algebra.cache_clear
-
-
-def _adjugate(m):
-    """Integer adjugate of a square integer matrix, by cofactors."""
-    n = len(m)
-    if n == 1:
-        return ((1,),)
-    return tuple(
-        tuple(
-            (-1) ** (i + j) * linalg.det_int(
-                [row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j]
-            )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
 
 
 def parse_algebra(label):

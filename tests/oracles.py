@@ -45,6 +45,31 @@ def inverse_frac(m):
     return tuple(tuple(row) for row in inv)
 
 
+def det_int(m):
+    """Determinant of an integer matrix, fraction-free Bareiss elimination
+    with row exchanges."""
+    n = len(m)
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
 def mat_mul(a, b):
     """Matrix product a @ b, as a tuple of row tuples."""
     cols = range(len(b[0]))

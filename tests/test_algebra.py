@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import inverse_frac, root_string_positive_roots
+from oracles import inverse_frac, mat_mul, root_string_positive_roots
 
 from weylchar.algebra import (
     MAX_RANK,
@@ -27,7 +27,7 @@ from weylchar.algebra import (
     weyl_order,
 )
 from weylchar.errors import EnvelopeError, InputError, IntegrityError
-from weylchar.linalg import vec_mat
+from weylchar.linalg import det_adjugate, identity, vec_mat
 from weylchar.tables import shared_table
 from weylchar.weylgroup import alternant_direct, generate
 
@@ -70,8 +70,9 @@ def test_cartan_matrix_goldens():
     )
 
 
-# every family at ranks 1 to 8 where it is defined, and the exceptional types
-EVERY_TYPE = [f"{f}{r}" for f in "ABCD" for r in range(1, 9)
+# every family at ranks 1 to 8 where it is defined and at 12, 16 and the
+# envelope, and the exceptional types
+EVERY_TYPE = [f"{f}{r}" for f in "ABCD" for r in [*range(1, 9), 12, 16, MAX_RANK]
               if r >= {"A": 1, "B": 2, "C": 2, "D": 4}[f]] + [
     "G2", "F4", "E6", "E7", "E8",
 ]
@@ -80,11 +81,15 @@ EVERY_TYPE = [f"{f}{r}" for f in "ABCD" for r in range(1, 9)
 @pytest.mark.parametrize("name", EVERY_TYPE)
 def test_integer_adjugate_is_the_fraction_inverse(name):
     """Oracle: cartan_adjugate / cartan_det is the Gauss-Jordan inverse of C,
-    and gram_weight_scaled / cartan_det is the form on weight rows, C^-1 D."""
+    and gram_weight_scaled / cartan_det is the form on weight rows, C^-1 D.
+    In integers, C @ cartan_adjugate is cartan_det times the identity."""
     a = algebra(name)
     inv = inverse_frac(a.cartan)
     det = a.cartan_det
     assert det > 0
+    assert mat_mul(a.cartan, a.cartan_adjugate) == tuple(
+        tuple(det * x for x in row) for row in identity(a.rank)
+    )
     assert [[Fraction(x, det) for x in row] for row in a.cartan_adjugate] == [
         list(row) for row in inv
     ]
@@ -93,6 +98,14 @@ def test_integer_adjugate_is_the_fraction_inverse(name):
         [x * dj for x, dj in zip(row, d)] for row in inv
     ]
     assert root_coords(a, a.weyl_vector) == vec_mat(a.weyl_vector.coords, inv)
+
+
+@pytest.mark.parametrize("m", [((2, -2), (-2, 2)), ((0, 1), (1, 0))])
+def test_det_adjugate_refuses_a_leading_minor_that_is_not_positive(m):
+    """The affine A1 matrix has leading minors 2 and 0, the swap matrix 0:
+    neither is of finite type, and the elimination has no row exchange."""
+    with pytest.raises(IntegrityError, match="not positive"):
+        det_adjugate(m)
 
 
 def test_d4_has_a_triple_node():

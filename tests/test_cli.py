@@ -142,6 +142,20 @@ def test_dimension(capsys):
     assert "dimension: 26" in out
 
 
+def test_dimension_at_the_rank_envelope(capsys):
+    """A24, the largest rank kept, answers in text and in JSON."""
+    weight = ",".join(["1"] + ["0"] * 23)
+    code, out, _ = run(capsys, "dimension", "--algebra", "A24", "--weight", weight)
+    assert code == 0
+    assert "dimension: 25" in out
+    code, out, _ = run(
+        capsys, "dimension", "--algebra", "A24", "--weight", weight,
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["dimension"] == 25
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(
         capsys, "verify", "--algebra", "B2", "--depth", "2",

@@ -8,6 +8,7 @@ import pytest
 import golden_g2
 from oracles import (
     ORACLE_ALGEBRAS,
+    det_int,
     inverse_frac,
     mat_mul,
     monomial_map,
@@ -25,7 +26,7 @@ from weylchar.algebra import (
     weyl_order,
 )
 from weylchar.errors import EnvelopeError, InputError, IntegrityError
-from weylchar.linalg import det_int, identity, vec_mat
+from weylchar.linalg import identity, vec_mat
 from weylchar.tables import (
     alternant,
     build_table,
