@@ -137,10 +137,9 @@ class Algebra(Frozen):
 
 
 _RANK_BOUNDS = {"A": 1, "B": 2, "C": 2, "D": 4}
-# The classical families stop at rank 24.  One O(r^3) elimination gives the
-# Cartan determinant and adjugate, so root data take 22 ms at A24 and 54 ms
-# at A32 on a 2-core host (260 ms and 1.06 s by r^2 cofactor determinants);
-# the cap stays until the recursions that run past it have a work budget.
+# The classical families stop at rank 24.  Root data do not set the cap:
+# with one O(r^3) elimination they take 22 ms at A24 and 54 ms at A32 on a
+# 2-core host.  It stays until the recursions past it have a work budget.
 MAX_RANK = 24
 # the most digits read as one integer: int()'s default limit from Python 3.11
 MAX_DIGITS = 4300

@@ -5,8 +5,7 @@ vector v as v @ M.  Row i of M is the image of the i-th basis vector.
 There is no matrix product: no table entry's map U^-1 is formed, and
 weylgroup.generate applies each reflection row by row.  The one
 elimination, det_adjugate, is O(n^3): 2.5 ms on the A24 Cartan matrix on
-a 2-core host, where the r^2 cofactor determinants it replaced, O(n^5),
-took about 240 ms.
+a 2-core host.
 """
 
 from operator import mul
