@@ -498,24 +498,20 @@ def _orbit_rows(cartan, m):
     return seen
 
 
-def _spread_orbits(cartan, dominant):
-    """The full weight-to-multiplicity map from the dominant multiplicities.
+def _spread_orbit(full, cartan, mu, mult):
+    """Give every row of the orbit of the dominant row mu (_orbit_rows) the
+    multiplicity mult in the weight map full.
 
-    A character is W-invariant, so each dominant weight passes its
-    multiplicity to every row of its orbit (_orbit_rows).  Weights of
-    multiplicity zero are left out.  Past MAX_CHARACTER_WEIGHTS weights it
-    raises EnvelopeError.
+    A character is W-invariant, so this is how each dominant multiplicity
+    enters the map.  Past MAX_CHARACTER_WEIGHTS weights it raises
+    EnvelopeError.
     """
-    full = {}
-    for mu, mult in dominant.items():
-        if mult:
-            full.update(dict.fromkeys(_orbit_rows(cartan, mu), mult))
-            if len(full) > MAX_CHARACTER_WEIGHTS:
-                raise EnvelopeError(
-                    f"the character has more than {MAX_CHARACTER_WEIGHTS} "
-                    "weights, past the supported envelope"
-                )
-    return full
+    full.update(dict.fromkeys(_orbit_rows(cartan, mu), mult))
+    if len(full) > MAX_CHARACTER_WEIGHTS:
+        raise EnvelopeError(
+            f"the character has more than {MAX_CHARACTER_WEIGHTS} "
+            "weights, past the supported envelope"
+        )
 
 
 def orbit(a, v):

@@ -11,9 +11,11 @@ than lambda,
 where dom is the dominant representative of a Weyl orbit.  Only the w with
 rho - w rho <= lambda - mu in the root order contribute, so the recursion
 keeps the shifts no deeper than the deepest lambda - mu, and each mu reads
-those below lambda - mu.  The dominant multiplicities are then spread over
-their orbits.  The result is the coefficient map of the character: exponent
-rows are weight-basis coordinates of the weights of the module.
+those below lambda - mu.  Each dominant multiplicity is spread over its orbit
+as it is found, so m(mu + rho - w rho) is one read of the W-invariant map
+built so far, with no reduction to dom.  That map is the coefficient map of
+the character: exponent rows are weight-basis coordinates of the weights of
+the module.
 
 Two construction routes exist for the shifts and must agree: "gamma" reads
 them off the per-algebra table, "weyl" sums A_rho over the enumerated group.
@@ -29,12 +31,11 @@ from operator import add, le
 from . import tables
 from .algebra import (
     WeightVec,
-    _dominant_coords,
     _dominant_weights_below,
     _require_dominant_integral,
     _root_key,
     _root_row,
-    _spread_orbits,
+    _spread_orbit,
     weyl_dimension,
 )
 from .errors import InputError, IntegrityError
@@ -93,8 +94,7 @@ def _character_cached(a, m, method):
             for e, sign in weylgroup.alternant_direct(a, zero).terms.items()
         ]
     highest = WeightVec.weight(m)
-    dominant = _racah(a, _dominant_weights_below(a, m), shifts)
-    terms = _spread_orbits(a.cartan, dominant)
+    terms = _racah(a, _dominant_weights_below(a, m), shifts)
     dimension = sum(terms.values())
     if dimension != weyl_dimension(a, highest):
         raise IntegrityError(
@@ -111,12 +111,14 @@ def _character_cached(a, m, method):
 
 
 def _racah(a, below, shifts):
-    """Dominant multiplicities of the descent below, by Racah's recursion on
-    the pairs (root row of rho - w rho, sgn w), kept where the row is nonzero
-    and no deeper than reach, the componentwise maximum of the depths.  The
-    weights come in order of increasing depth, and dom(mu + s) lies strictly
-    higher than mu, so its multiplicity is known when mu is reached; a
-    dominant weight not in below is no weight of the module and counts 0.
+    """The full weight map of the module whose descent is below, by Racah's
+    recursion on the pairs (root row of rho - w rho, sgn w), kept where the
+    row is nonzero and no deeper than reach, the componentwise maximum of
+    the depths.  The weights come in order of increasing depth, and each
+    multiplicity is spread over its orbit once it is found.  dom(mu + s)
+    lies strictly higher than mu, so the orbit of mu + s is in the map when
+    mu is reached; a weight missing from the map is no weight of the module
+    and counts 0.
     """
     reach = [max(col) for col in zip(*[depth for _, depth in below])]
     kept = [
@@ -124,17 +126,16 @@ def _racah(a, below, shifts):
         for root, sign in shifts
         if any(root) and all(map(le, root, reach))
     ]
-    dominant = {}
+    full = {}
     for mu, depth in below:
         acc = 0 if any(depth) else 1   # m(top) = 1: no kept row is <= 0
         for root, row, sign in kept:
             if all(map(le, root, depth)):
-                nu = _dominant_coords(a.cartan, map(add, mu, row))[0]
-                acc -= sign * dominant.get(nu, 0)
+                acc -= sign * full.get(tuple(map(add, mu, row)), 0)
         if acc <= 0:
             raise IntegrityError("character has a non-positive multiplicity")
-        dominant[mu] = acc
-    return dominant
+        _spread_orbit(full, a.cartan, mu, acc)
+    return full
 
 
 def multiplicities(result):

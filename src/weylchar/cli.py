@@ -148,9 +148,7 @@ def _cmd_character(args):
     print(f"dimension: {result.dimension}")
     print(f"alpha-basis: {present_alpha_basis(result)}")
     print("multiplicities (weight basis):")
-    for e, c in sorted(
-        result.poly.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True
-    ):
+    for e, c in reversed(_sorted_monomials(result.poly)):
         print(f"  {list(e)}  {c}")
     return 0
 

@@ -18,15 +18,14 @@ weyl_dimension stays readable as weylgroup.weyl_dimension for the callers
 that look it up here.
 """
 
-from operator import mul
+from operator import add, mul
 
 from . import linalg
 from .algebra import (
-    _dominant_coords,
     _dominant_weights_below,
     _require_dominant_integral,
     _root_rows,
-    _spread_orbits,
+    _spread_orbit,
     check_envelope,
     pair_with_root,
     weyl_dimension,
@@ -130,11 +129,13 @@ def freudenthal_multiplicities(a, weight):
     """Weight multiplicities of the irreducible module, by recursion.
 
     Returns the full finitely-supported map from weight-basis coordinate rows
-    to multiplicities: dominant weights come from the recursion, the rest by
-    Weyl-orbit invariance.  The arithmetic stays in integers: norms are taken
-    on gram_weight_scaled, the form times cartan_det, so each multiplicity is
-    2 cartan_det acc / (N(lambda + rho) - N(mu + rho)) and must divide
-    exactly.
+    to multiplicities.  Each dominant multiplicity is spread over its orbit
+    as it is found, and every mu + k alpha lies in a higher orbit, so each
+    root string is walked by reading the map until a weight is missing.  The
+    arithmetic stays in integers: norms are taken on gram_weight_scaled, the
+    form times cartan_det, so each multiplicity is
+    2 cartan_det acc / (N(lambda + rho) - N(mu + rho)) and must come out a
+    positive integer.
     """
     m = _require_dominant_integral(a, weight)
     gram = a.gram_weight_scaled
@@ -145,32 +146,28 @@ def freudenthal_multiplicities(a, weight):
     top_norm = norm(tuple(x + 1 for x in m))
     scale = 2 * a.cartan_det
     roots = _root_rows(a)
-    r = a.rank
     cartan = a.cartan
 
-    dominant = {}
+    full = {}
     for mu, depth in _dominant_weights_below(a, m):
         if not any(depth):
-            dominant[mu] = 1
+            _spread_orbit(full, cartan, mu, 1)
             continue
         acc = 0
         for nw, n in roots:
-            k = 1
-            while True:
-                nu = tuple(mu[j] + k * nw[j] for j in range(r))
-                mult = dominant.get(_dominant_coords(cartan, nu)[0])
-                if mult is None:
-                    break  # weights along a root string are contiguous
+            nu = tuple(map(add, mu, nw))
+            # weights along a root string are contiguous
+            while (mult := full.get(nu)) is not None:
                 acc += mult * pair_with_root(a, nu, n)
-                k += 1
+                nu = tuple(map(add, nu, nw))
         denom = top_norm - norm(tuple(x + 1 for x in mu))
         if denom <= 0:
             raise IntegrityError("Freudenthal denominator must be positive")
         value, rem = divmod(scale * acc, denom)
-        if rem or value < 0:
+        if rem or value <= 0:
             raise IntegrityError(
-                f"Freudenthal recursion gave non-integral multiplicity at {mu}"
+                f"Freudenthal recursion gave {scale * acc}/{denom} at {mu}, "
+                "not a positive integer"
             )
-        dominant[mu] = value
-
-    return _spread_orbits(cartan, dominant)
+        _spread_orbit(full, cartan, mu, value)
+    return full

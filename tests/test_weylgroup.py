@@ -8,16 +8,17 @@ import pytest
 
 from oracles import dominant_weights_in_box, mat_mul
 from weylchar import algebra as algebra_module
+from weylchar import characters, weylgroup
 from weylchar.algebra import (
     ENVELOPE_MAX_ORDER,
     MAX_DOMINANT_WEIGHTS,
     WeightVec,
-    _spread_orbits,
     build_algebra,
     check_envelope,
     weight_coords,
 )
-from weylchar.errors import EnvelopeError, InputError
+from weylchar.characters import METHODS, character, multiplicities
+from weylchar.errors import EnvelopeError, InputError, IntegrityError
 from weylchar.linalg import identity
 from weylchar.weylgroup import (
     _dominant_weights_below,
@@ -226,13 +227,48 @@ def test_descents_in_use_stay_under_the_cap():
 
 
 def test_spread_past_the_cap_is_refused(monkeypatch):
-    """G2 (1, 1) has 31 weights: spread under a cap of 30, it is refused."""
+    """G2 (1, 1) has 31 weights: under a cap of 30, both recursions refuse
+    it."""
     a = algebra("G2")
-    dominant = {mu: 1 for mu, _ in _dominant_weights_below(a, (1, 1))}
-    assert len(_spread_orbits(a.cartan, dominant)) == 31
+    assert len(freudenthal_multiplicities(a, WeightVec.weight((1, 1)))) == 31
     monkeypatch.setattr(algebra_module, "MAX_CHARACTER_WEIGHTS", 30)
     with pytest.raises(EnvelopeError, match="more than 30 weights"):
-        _spread_orbits(a.cartan, dominant)
+        freudenthal_multiplicities(a, WeightVec.weight((1, 1)))
+    characters._character_cached.cache_clear()  # G2 (1, 1) may be memoized
+    try:
+        for method in METHODS:
+            with pytest.raises(EnvelopeError, match="more than 30 weights"):
+                character(a, (1, 1), method)
+    finally:
+        characters._character_cached.cache_clear()
+
+
+def test_freudenthal_refuses_a_multiplicity_that_is_not_positive(monkeypatch):
+    """A dominant weight that the descent lists but no root string reaches
+    gets multiplicity 0, which is refused, not left out of the map."""
+    real = weylgroup._dominant_weights_below
+
+    def padded(a, top):
+        return real(a, top) + [((0, 0), (1, 1))]
+
+    monkeypatch.setattr(weylgroup, "_dominant_weights_below", padded)
+    with pytest.raises(IntegrityError, match="not a positive integer"):
+        freudenthal_multiplicities(algebra("A2"), WeightVec.weight((1, 0)))
+
+
+def test_long_root_strings():
+    """A1 (512) has every weight 512 - 2k once; A2 (30, 30) agrees by both
+    character methods and Freudenthal, at its Weyl dimension."""
+    closed_form = {(512 - 2 * k,): 1 for k in range(513)}
+    for name, coords in [("A1", (512,)), ("A2", (30, 30))]:
+        a = algebra(name)
+        w = WeightVec.weight(coords)
+        got = freudenthal_multiplicities(a, w)
+        assert sum(got.values()) == weyl_dimension(a, w)
+        if name == "A1":
+            assert got == closed_form
+        for method in METHODS:
+            assert multiplicities(character(a, w, method)) == got, method
 
 
 def test_freudenthal_on_e7_and_e8_without_the_group():
