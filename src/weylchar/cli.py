@@ -253,8 +253,10 @@ def _cmd_dimension(args):
 # the most weights verify's grid may hold: --depth N checks (N + 1)^rank
 VERIFY_MAX_WEIGHTS = 4096
 # the most work verify may take on, in the units of _verify_work; past the
-# fixed cost of the group and the table, a unit took 1.1 to 4.3
-# microseconds of a whole request on a 2-core machine
+# fixed cost of the group and the table, a unit took 0.9 to 1.5
+# microseconds of a whole request at F4, D5 and A6 (depth 1), and 3.5 to 8.1
+# at E6 (depth 0), where that fixed cost is three quarters of the request,
+# on a 2-core machine
 VERIFY_MAX_WORK = 5_000_000
 
 
