@@ -1,7 +1,7 @@
-"""Time interpreter start-up, `import weylchar` and four small CLI requests,
+"""Time interpreter start-up, `import weylchar` and seven small CLI requests,
 with and without cached bytecode.
 
-Each of the six commands runs in a fresh process --repeat times in each of
+Each of the nine commands runs in a fresh process --repeat times in each of
 two settings, in round-robin order so that a slow spell of the host falls on
 all of them alike, and the median wall times are printed in milliseconds:
 
@@ -14,9 +14,18 @@ all of them alike, and the median wall times are printed in milliseconds:
                                         building A24's root data
     python -m weylchar character ...    a request that builds the G2 table and
                                         runs Racah's recursion on its A_rho
+    python -m weylchar character ...    F4 (0,0,0,1) by the weyl route, which
+      --method weyl                     generates the group and loads no table
+    python -m weylchar gamma ...        prints the B4 table; loads no Laurent
+                                        polynomials and no Weyl group
+    python -m weylchar verify ...       B3 at depth 1, the one request that
+                                        loads the invariant suite
     python -m weylchar tensor ...       G2 (1,1) x (0,2) in JSON, the median
                                         kind of request of the cli-cold and
                                         cli-warm benchmark workloads
+
+The G2 dimension row and the last five rows time one request of each kind
+the cli-cold and cli-warm workloads run.
 
 The two settings are the two columns:
 
@@ -59,6 +68,10 @@ COMMANDS = (
                        "--weight", ",".join(["1"] + ["0"] * 23)]),
     ("character", ["-m", "weylchar", "character", "--algebra", "G2",
                    "--weight", "1,1"]),
+    ("character weyl", ["-m", "weylchar", "character", "--algebra", "F4",
+                        "--weight", "0,0,0,1", "--method", "weyl"]),
+    ("gamma", ["-m", "weylchar", "gamma", "--algebra", "B4"]),
+    ("verify", ["-m", "weylchar", "verify", "--algebra", "B3", "--depth", "1"]),
     ("tensor json", ["-m", "weylchar", "tensor", "--algebra", "G2",
                      "--left", "1,1", "--right", "0,2", "--format", "json"]),
 )
@@ -139,10 +152,10 @@ def main():
         for name, _ in COMMANDS
     }
     print(f"median of {args.repeat} fresh processes, ms")
-    print(f"{'command':>13} {'no bytecode':>12} {'bytecode':>9} {'compile':>8}")
+    print(f"{'command':>14} {'no bytecode':>12} {'bytecode':>9} {'compile':>8}")
     for name, _ in COMMANDS:
         off, on = medians[name].values()
-        print(f"{name:>13} {off:>12.1f} {on:>9.1f} {off - on:>8.1f}")
+        print(f"{name:>14} {off:>12.1f} {on:>9.1f} {off - on:>8.1f}")
     if args.json:
         append_record(args.json, os.path.dirname(source), {
             "script": "time_startup.py",

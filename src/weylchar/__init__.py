@@ -51,11 +51,11 @@ _EXPORTS = {
         "AlternantTable",
         "alternant",
         "build_table",
-        "check_signatures_by_expansion",
         "exponent_forms",
         "orbit_drops",
     ),
     "tensor": ("Decomposition", "tensor_decompose"),
+    "verify": ("check_signatures_by_expansion",),
     "weylgroup": (
         "WeylGroup",
         "alternant_direct",

@@ -28,7 +28,6 @@ from functools import lru_cache
 from math import gcd
 from operator import add, le
 
-from . import tables
 from .algebra import (
     WeightVec,
     _dominant_weights_below,
@@ -84,6 +83,8 @@ def character(a, weight, method="gamma"):
 @lru_cache(maxsize=None)
 def _character_cached(a, m, method):
     if method == "gamma":
+        from . import tables  # only this route reads the table
+
         shifts = tables.rho_shifts(tables.shared_table(a))
     else:
         from . import weylgroup  # only this route enumerates the group
@@ -147,17 +148,6 @@ def multiplicities(result):
     return dict(result.poly.terms)
 
 
-def _scaled_root_terms(a, poly):
-    """Terms of poly with root-basis exponent rows scaled by cartan_det.
-
-    A weight-basis row e has root-basis row e @ cartan_adjugate / cartan_det;
-    this returns the integer rows e @ cartan_adjugate, sorted descending by
-    _root_key.
-    """
-    ranked = sorted([(_root_key(a, e), c) for e, c in poly.terms.items()])
-    return [(n, c) for (_, n), c in reversed(ranked)]
-
-
 def alpha_variables(rank):
     """Variable names for root-basis rendering; the rank-2 case reads x, y."""
     if rank == 1:
@@ -175,18 +165,19 @@ def _fmt_exponent(n, det):
     return f"({n // g}/{det // g})"
 
 
-def render_root_basis(a, poly):
-    """Human-readable root-basis rendering of a Laurent polynomial.
+def present_alpha_basis(result):
+    """Root-basis string form of a character (x, y at rank 2, else u_i).
 
     One formal exponential per variable: for rank 2 the monomial e^(p a_1 +
-    q a_2) prints as x^p y^q.
+    q a_2) prints as x^p y^q.  The terms run down from the highest root-basis
+    row (_root_key), each held as its integer row times cartan_det.
     """
-    if poly.is_zero():
-        return "0"
+    a = result.algebra
     names = alpha_variables(a.rank)
     det = a.cartan_det
     chunks = []
-    for exps, coeff in _scaled_root_terms(a, poly):
+    ranked = sorted([(_root_key(a, e), c) for e, c in result.poly.terms.items()])
+    for (_, exps), coeff in reversed(ranked):
         factors = []
         for name, n in zip(names, exps):
             if n == 0:
@@ -205,24 +196,3 @@ def render_root_basis(a, poly):
     for sign, body in chunks[1:]:
         text += f" {sign} {body}"
     return text
-
-
-def present_alpha_basis(result):
-    """Root-basis string form of a character (x, y at rank 2, else u_i)."""
-    return render_root_basis(result.algebra, result.poly)
-
-
-def alpha_basis_terms(result):
-    """Structured root-basis terms of a character, for exact comparisons.
-
-    Each exponent row holds ints where the division by cartan_det is exact
-    and Fractions elsewhere, which happens whenever the weight and root
-    lattices differ.
-    """
-    from fractions import Fraction
-
-    det = result.algebra.cartan_det
-    return [
-        (tuple([Fraction(x, det) if x % det else x // det for x in n]), c)
-        for n, c in _scaled_root_terms(result.algebra, result.poly)
-    ]

@@ -3,10 +3,9 @@
 Commands: character, gamma, tensor, verify, dimension.  Exit codes: 0 on
 success, 2 for bad input, 3 for integrity failures (including failed
 verification), 4 when the request exceeds the supported size envelope
-(for verify, its grid or its work budget), and 1 when stdout cannot take
-the answer, as when `| head` closes it early or its device is full.  Tables
-are built in memory, once per process; nothing is read from or written to
-disk.
+(for verify, its work budget), and 1 when stdout cannot take the answer,
+as when `| head` closes it early or its device is full.  Tables are built
+in memory, once per process; nothing is read from or written to disk.
 
 main(argv) runs one command line and returns its exit code.  run(), the
 entry of `weylchar` and `python -m weylchar`, calls it, flushes stdout and
@@ -24,9 +23,11 @@ abbreviations.  A usage error is bad input (exit 2, `error: ...` on
 stderr); -h or --help prints the usage text and exits 0.
 
 Each command imports the modules it runs inside its handler, so a request
-compiles and loads no module that it does not use: `dimension` never loads
-the tables, `gamma` never loads the Weyl group.  No request loads argparse,
-json or fractions, which would cost more start-up than a small request's
+compiles and loads no module that it does not use: `dimension` and
+`character --method weyl` never load the tables, `gamma` never loads the
+Weyl group or the Laurent polynomials, and only `verify` loads the
+invariant suite (weylchar.verify).  No request loads argparse, json or
+fractions, which would cost more start-up than a small request's
 arithmetic.
 """
 
@@ -250,119 +251,8 @@ def _cmd_dimension(args):
     return 0
 
 
-# the most weights verify's grid may hold: --depth N checks (N + 1)^rank
-VERIFY_MAX_WEIGHTS = 4096
-# the most work verify may take on, in the units of _verify_work; past the
-# fixed cost of the group and the table, a unit took 0.9 to 1.5
-# microseconds of a whole request at F4, D5 and A6 (depth 1), and 3.5 to 8.1
-# at E6 (depth 0), where that fixed cost is three quarters of the request,
-# on a 2-core machine
-VERIFY_MAX_WORK = 5_000_000
-
-
-def _verify_work(a, depth):
-    """The work verify --depth sets itself on a, counted until it passes
-    VERIFY_MAX_WORK.
-
-    A grid weight lam costs |W| for its two alternants, and then, for each
-    dominant mu below lam, |W| (a bound on the orbit mu's multiplicity
-    spreads over) plus N (1 + ht(lam - mu)) for the N positive roots, as
-    Freudenthal walks up each root string from mu and none is longer than
-    ht(lam - mu).  The dominant mu are the descent the character and
-    Freudenthal both make; the grid is walked lazily, and the count stops
-    as soon as it passes the budget.
-    """
-    from itertools import product
-
-    from .algebra import _dominant_weights_below, weyl_order
-
-    order = weyl_order(a.family, a.rank)
-    npos = len(a.positive_roots)
-    work = 0
-    for coords in product(range(depth + 1), repeat=a.rank):
-        below = _dominant_weights_below(a, coords)
-        work += order * (1 + len(below))
-        work += npos * sum(1 + sum(dp) for _, dp in below)
-        if work > VERIFY_MAX_WORK:
-            break
-    return work
-
-
-def _verify_checks(a, table, depth):
-    """Run the invariant suite; yields (name, passed, detail)."""
-    import itertools
-
-    from . import tables, weylgroup
-    from .algebra import weyl_order
-    from .characters import character, multiplicities
-    from .weylgroup import freudenthal_multiplicities
-
-    group = weylgroup.generate(a)
-    expected = weyl_order(a.family, a.rank)
-
-    yield (
-        "entry-count-matches-group-order",
-        table.size == expected == group.order,
-        f"entries {table.size}, formula {expected}, enumerated {group.order}",
-    )
-
-    orbit_ok = True
-    details = []
-    for i in range(a.rank):
-        n_orbit = len({m[i] for m in group.elements})  # images of l_i
-        n_cand = len(table.candidates[i])
-        details.append(f"slot {i + 1}: {n_cand}/{n_orbit}")
-        if n_cand != n_orbit:
-            orbit_ok = False
-    yield ("candidate-counts-match-orbit-sizes", orbit_ok, ", ".join(details))
-
-    grid = list(itertools.product(range(depth + 1), repeat=a.rank))
-    bad = None
-    for coords in grid:
-        w = WeightVec.weight(coords)
-        if tables.alternant(table, w) != weylgroup.alternant_direct(a, w, group=group):
-            bad = coords
-            break
-    yield (
-        "alternant-routes-agree",
-        bad is None,
-        f"{len(grid)} weights at depth {depth}" if bad is None else f"first mismatch at {list(bad)}",
-    )
-
-    bad = None
-    try:  # character() itself checks positivity and the Weyl dimension
-        for coords in grid:
-            ch = character(a, coords, method="gamma")
-            if multiplicities(ch) != freudenthal_multiplicities(a, WeightVec.weight(coords)):
-                bad = f"first mismatch (multiplicities) at {list(coords)}"
-                break
-    except IntegrityError as exc:
-        bad = f"{exc} (at {list(coords)})"
-    yield (
-        "characters-match-recursion-and-dimension",
-        bad is None,
-        f"{len(grid)} weights at depth {depth}" if bad is None else bad,
-    )
-
-    if len(a.positive_roots) <= tables.EXPANSION_MAX_ROOTS:
-        try:
-            ok = tables.check_signatures_by_expansion(table)
-            detail = f"{len(a.positive_roots)} positive roots expanded"
-        except IntegrityError as exc:
-            ok = False
-            detail = str(exc)
-        yield ("signatures-match-expansion", ok, detail)
-    else:
-        yield (
-            "signatures-match-expansion",
-            True,
-            f"skipped: {len(a.positive_roots)} positive roots exceed the "
-            f"cap of {tables.EXPANSION_MAX_ROOTS}",
-        )
-
-
 def _cmd_verify(args):
-    from . import tables
+    from . import verify
 
     a = parse_algebra(args.algebra)
     depth = read_int(args.depth, "--depth")
@@ -370,20 +260,9 @@ def _cmd_verify(args):
         raise InputError(f"--depth must be an integer, got {args.depth!r}")
     if depth < 0:
         raise InputError(f"--depth must be non-negative, got {depth}")
-    if (depth + 1) ** a.rank > VERIFY_MAX_WEIGHTS:
-        raise EnvelopeError(
-            f"verify --depth N checks (N + 1)^{a.rank} weights of {a.name}, past "
-            f"the grid envelope ({VERIFY_MAX_WEIGHTS})"
-        )
-    if _verify_work(a, depth) > VERIFY_MAX_WORK:
-        raise EnvelopeError(
-            f"verify --depth {depth} on {a.name} would take on more than "
-            f"{VERIFY_MAX_WORK} units of work, past the verify envelope"
-        )
-    table = tables.shared_table(a)
     checks = [
         {"name": name, "passed": passed, "detail": detail}
-        for name, passed, detail in _verify_checks(a, table, depth)
+        for name, passed, detail in verify.report(a, depth)
     ]
     all_ok = all(c["passed"] for c in checks)
     if args.format == "json":
@@ -418,7 +297,7 @@ _OPTIONS = {
     "--left": ("WEIGHT", "left highest weight, e.g. 1,0"),
     "--right": ("WEIGHT", "right highest weight, e.g. 1,1"),
     "--depth": ("N", "check all dominant weights with coordinates up to N, "
-                f"at most {VERIFY_MAX_WEIGHTS} of them, within a work budget"),
+                "within a work budget"),
     "--method": (("gamma", "weyl"), "alternant construction route"),
     "--format": (("text", "json"), "output format"),
     "--cache-dir": (

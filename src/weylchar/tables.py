@@ -47,11 +47,9 @@ from .algebra import (
 )
 from .errors import EnvelopeError, InputError, IntegrityError
 from .frozen import Frozen
-from .laurent import LaurentPoly
 
 _DIGIT = 64             # bits per coordinate in the packed rows and columns
 _HALF = 1 << (_DIGIT - 1)
-EXPANSION_MAX_ROOTS = 12
 
 
 def orbit_drops(a, i):
@@ -355,8 +353,11 @@ def alternant(table, weight):
     each candidate's shift (h . v) C[i] is computed once per call and the
     entries subtract theirs down the selector trie.  A weight so large that
     an exponent coordinate could pass 2^63 - 1 in absolute value is refused
-    with EnvelopeError.
+    with EnvelopeError.  LaurentPoly is imported here, so that the requests
+    that need no alternant, `gamma` among them, never load it.
     """
+    from .laurent import LaurentPoly
+
     a = table.algebra
     m = _require_dominant_integral(a, weight)
     vec = tuple([x + 1 for x in m])
@@ -428,38 +429,3 @@ def exponent_forms(table):
             signature=sign, constant=tuple(map(sum, cols)), linear=tuple(zip(*cols))
         ))
     return tuple(out)
-
-
-def check_signatures_by_expansion(table):
-    """Cross-validate every signature against the root-product expansion.
-
-    Expands prod_(a > 0) (e^a - 1) times e^(-rho), which must equal the
-    alternant at weight zero term by term.  Capped by the positive-root
-    count; the product has at most 2^EXPANSION_MAX_ROOTS raw terms.
-    """
-    a = table.algebra
-    npos = len(a.positive_roots)
-    if npos > EXPANSION_MAX_ROOTS:
-        raise EnvelopeError(
-            f"{a.name} has {npos} positive roots; the expansion check is "
-            f"capped at {EXPANSION_MAX_ROOTS}"
-        )
-    prod = LaurentPoly.one(a.rank)
-    for aw in a.positive_roots_weight:
-        factor = LaurentPoly(
-            a.rank, {aw: 1, (0,) * a.rank: -1}
-        )
-        prod = prod * factor
-    prod = prod.translate((-1,) * a.rank)  # divide by e^rho
-
-    zero = WeightVec.weight((0,) * a.rank)
-    reference = alternant(table, zero)
-    if prod == reference:
-        return True
-    diff = prod - reference
-    first = min(diff.terms, key=lambda e: (sum(e), e))
-    raise IntegrityError(
-        f"signature cross-check failed for {a.name}: expansion and table "
-        f"disagree first at exponent row {first} "
-        f"(expansion {prod.coeff(first)}, table {reference.coeff(first)})"
-    )

@@ -18,11 +18,11 @@ from weylchar.laurent import LaurentPoly
 from weylchar.tables import (
     alternant,
     build_table,
-    check_signatures_by_expansion,
     exponent_forms,
     selectors,
 )
 from weylchar.tensor import tensor_decompose
+from weylchar.verify import EXPANSION_MAX_ROOTS, check_signatures_by_expansion
 from weylchar.weylgroup import (
     alternant_direct,
     freudenthal_multiplicities,
@@ -227,7 +227,7 @@ def test_criterion_9_signature_cross_validation():
     covered = []
     for name in ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2"):
         a = algebra(name)
-        if len(a.positive_roots) > tables.EXPANSION_MAX_ROOTS:
+        if len(a.positive_roots) > EXPANSION_MAX_ROOTS:
             continue
         assert check_signatures_by_expansion(build_table(a))
         covered.append(name)

@@ -14,8 +14,8 @@ from hypothesis import given, strategies as st
 import faults
 import golden_g2
 from oracles import ORACLE_ALGEBRAS
-from weylchar import characters, cli, tables, tensor
-from weylchar.algebra import build_algebra
+from weylchar import characters, cli, tables, tensor, verify
+from weylchar.algebra import MAX_RANK, build_algebra
 from weylchar.characters import character
 from weylchar.cli import main
 from weylchar.errors import IntegrityError
@@ -181,7 +181,7 @@ def test_verify_json(capsys):
 
 def orbit_check(a, table):
     """(passed, detail) of verify's candidate-counts-match-orbit-sizes."""
-    for name, passed, detail in cli._verify_checks(a, table, 0):
+    for name, passed, detail in verify._verify_checks(a, table, 0):
         if name == "candidate-counts-match-orbit-sizes":
             return passed, detail
 
@@ -218,8 +218,8 @@ def test_verify_rejects_negative_depth(capsys, monkeypatch):
 
 
 def test_verify_refuses_a_grid_past_the_envelope(capsys, monkeypatch):
-    """(depth + 1)^rank past VERIFY_MAX_WEIGHTS exits 4 before any table or
-    grid is made."""
+    """A grid of more than 4,096 weights, however deep, exits 4 on the work
+    budget before any table or grid is made."""
     def no_table(a):
         raise AssertionError("refused before any table is touched")
 
@@ -227,6 +227,8 @@ def test_verify_refuses_a_grid_past_the_envelope(capsys, monkeypatch):
     for algebra, depth in [
         ("A1", "99999999999999999999"),
         ("A1", "9" * 30),
+        ("A1", "4096"),
+        ("A2", "64"),
         ("A24", "9" * 4300),
         ("B3", "400"),
         ("B3", "16"),
@@ -236,8 +238,30 @@ def test_verify_refuses_a_grid_past_the_envelope(capsys, monkeypatch):
         code, out, err = run(capsys, "verify", "--algebra", algebra, "--depth", depth)
         assert time.perf_counter() - t0 < 1.0
         assert code == 4 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert err.endswith("past the grid envelope (4096)\n")
+        assert err == (
+            f"error: verify --depth {depth} on {algebra} would take on more than "
+            f"{verify.VERIFY_MAX_WORK} units of work, past the verify envelope\n"
+        )
+
+
+# every type the command line takes: the classical families up to MAX_RANK
+SUPPORTED = (
+    [f"A{r}" for r in range(1, MAX_RANK + 1)]
+    + [f"{f}{r}" for f in "BC" for r in range(2, MAX_RANK + 1)]
+    + [f"D{r}" for r in range(4, MAX_RANK + 1)]
+    + ["G2", "F4", "E6", "E7", "E8"]
+)
+
+
+def test_work_budget_refuses_every_grid_past_4096_weights():
+    """The budget is verify's one envelope: on every supported type, the
+    smallest depth whose grid holds more than 4,096 weights already passes
+    it, so the budget alone refuses every grid past 4,096 weights."""
+    assert len(SUPPORTED) == 96
+    for name in SUPPORTED:
+        a = build_algebra(name[0], int(name[1:]))
+        depth = next(d for d in range(4097) if (d + 1) ** a.rank > 4096)
+        assert verify._verify_work(a, depth) > verify.VERIFY_MAX_WORK, name
 
 
 # verify requests the work budget must admit: the benchmark's and CI's
@@ -245,8 +269,8 @@ ADMITTED = [("B3", 1), ("C3", 1), ("F4", 1), ("D5", 1), ("E6", 0), ("G2", 2)] + 
     (name, 0) for name in
     ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5"]
 ]
-# and two it must refuse: each passes the grid envelope, and each ran for
-# minutes before the budget
+# and two it must refuse: each grid holds at most 4,096 weights, and each
+# ran for minutes before the budget
 REFUSED = [("A7", 1), ("A1", 4095)]
 
 
@@ -254,11 +278,10 @@ def test_verify_work_budget():
     """From the estimates alone: nothing is verified."""
     for name, depth in ADMITTED:
         a = build_algebra(name[0], int(name[1:]))
-        assert cli._verify_work(a, depth) <= cli.VERIFY_MAX_WORK, name
+        assert verify._verify_work(a, depth) <= verify.VERIFY_MAX_WORK, name
     for name, depth in REFUSED:
         a = build_algebra(name[0], int(name[1:]))
-        assert (depth + 1) ** a.rank <= cli.VERIFY_MAX_WEIGHTS
-        assert cli._verify_work(a, depth) > cli.VERIFY_MAX_WORK, name
+        assert verify._verify_work(a, depth) > verify.VERIFY_MAX_WORK, name
 
 
 def test_verify_work_counts_by_hand(monkeypatch):
@@ -269,11 +292,11 @@ def test_verify_work_counts_by_hand(monkeypatch):
     2 (1 + 2) + (1 + 0) + (1 + 1) = 9.  G2 (|W| = 12, N = 6) at 0: 30.
     """
     a1 = build_algebra("A", 1)
-    assert cli._verify_work(a1, 1) == 10
-    assert cli._verify_work(a1, 2) == 5 + 5 + 9
-    assert cli._verify_work(build_algebra("G", 2), 0) == 30
-    monkeypatch.setattr(cli, "VERIFY_MAX_WORK", 7)
-    assert cli._verify_work(a1, 2) == 10   # stops once past the budget
+    assert verify._verify_work(a1, 1) == 10
+    assert verify._verify_work(a1, 2) == 5 + 5 + 9
+    assert verify._verify_work(build_algebra("G", 2), 0) == 30
+    monkeypatch.setattr(verify, "VERIFY_MAX_WORK", 7)
+    assert verify._verify_work(a1, 2) == 10   # stops once past the budget
 
 
 def test_verify_refuses_work_past_the_budget(capsys, monkeypatch):
@@ -283,7 +306,7 @@ def test_verify_refuses_work_past_the_budget(capsys, monkeypatch):
 
     monkeypatch.setattr(tables, "shared_table", nothing_made)
     monkeypatch.setattr("weylchar.weylgroup.generate", nothing_made)
-    monkeypatch.setattr(cli, "_verify_checks", nothing_made)
+    monkeypatch.setattr(verify, "_verify_checks", nothing_made)
     for name, depth in REFUSED:
         t0 = time.perf_counter()
         code, out, err = run(capsys, "verify", "--algebra", name, "--depth", str(depth))
@@ -291,7 +314,7 @@ def test_verify_refuses_work_past_the_budget(capsys, monkeypatch):
         assert code == 4 and out == ""
         assert err == (
             f"error: verify --depth {depth} on {name} would take on more than "
-            f"{cli.VERIFY_MAX_WORK} units of work, past the verify envelope\n"
+            f"{verify.VERIFY_MAX_WORK} units of work, past the verify envelope\n"
         )
 
 

@@ -192,11 +192,16 @@ LEFT_OUT = [
      ("weylchar.weylgroup", "weylchar.tensor")),
     (["character", "--algebra", "G2", "--weight", "1,1"],
      ("weylchar.weylgroup", "weylchar.tensor")),
+    (["character", "--algebra", "F4", "--weight", "0,0,0,1", "--method", "weyl"],
+     ("weylchar.tables", "weylchar.tensor")),
+    (["gamma", "--algebra", "C4"], ("weylchar.laurent",)),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, modules", LEFT_OUT, ids=["dimension", "gamma", "character-gamma"]
+    "argv, modules", LEFT_OUT,
+    ids=["dimension", "gamma", "character-gamma", "character-weyl",
+         "gamma-no-laurent"],
 )
 def test_cli_request_loads_only_what_it_runs(argv, modules):
     for fmt in ("text", "json"):
@@ -212,6 +217,8 @@ REQUEST_KINDS = [
     ["gamma", "--algebra", "B3"],
     ["dimension", "--algebra", "D5", "--weight", "1,0,0,0,1"],
 ]
+REQUEST_IDS = ["character-gamma", "character-weyl", "tensor", "verify", "gamma",
+               "dimension"]
 
 # standard-library modules no request needs: argument parsing, the json
 # package, rationals and what each of them pulls in
@@ -221,15 +228,17 @@ HEAVY = (
 )
 
 
-@pytest.mark.parametrize(
-    "argv", REQUEST_KINDS,
-    ids=["character-gamma", "character-weyl", "tensor", "verify", "gamma",
-         "dimension"],
-)
+@pytest.mark.parametrize("argv", REQUEST_KINDS, ids=REQUEST_IDS)
 def test_cli_request_loads_no_heavy_module(argv, tmp_path):
     for fmt in ("text", "json"):
         request = argv + ["--format", fmt, "--cache-dir", str(tmp_path)]
         assert loaded_by_cli_import(*HEAVY, argv=request) == []
+
+
+@pytest.mark.parametrize("argv", REQUEST_KINDS, ids=REQUEST_IDS)
+def test_only_verify_loads_the_invariant_suite(argv):
+    want = ["weylchar.verify"] if argv[0] == "verify" else []
+    assert loaded_by_cli_import("weylchar.verify", argv=argv) == want
 
 
 def test_lazy_exports_are_the_module_attributes():

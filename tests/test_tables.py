@@ -30,12 +30,12 @@ from weylchar.linalg import identity, vec_mat
 from weylchar.tables import (
     alternant,
     build_table,
-    check_signatures_by_expansion,
     exponent_forms,
     orbit_drops,
     selectors,
     shared_table,
 )
+from weylchar.verify import check_signatures_by_expansion
 from weylchar.weylgroup import alternant_direct, generate
 
 
