@@ -170,7 +170,7 @@ def present_alpha_basis(result):
 
     One formal exponential per variable: for rank 2 the monomial e^(p a_1 +
     q a_2) prints as x^p y^q.  The terms run down from the highest root-basis
-    row (_root_key), each held as its integer row times cartan_det.
+    row (_root_key), whose rows are cartan_det times the root coordinates.
     """
     a = result.algebra
     names = alpha_variables(a.rank)
